@@ -5,7 +5,7 @@ Subpackages:
 - ``numerics``: entropy rate functions and exact pairing-model probabilities
 - ``conditions``: strong/weak decomposition conditions and threshold tables
 - ``graph``: regular-graph representations and configuration-model samplers
-- ``decompose``: max-flow orientation pipeline, verification, subset oracle
+- ``decompose``: path-reversal orientation pipeline, verification, subset oracle
 - ``experiments``: reproducible Monte Carlo harness and curve emission
 - ``cli``: command-line surface (``stardecomp`` entry point)
 """

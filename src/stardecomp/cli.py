@@ -253,8 +253,15 @@ def _cmd_bounds_curve(args) -> int:
     }
     if args.kind == "weak-bound" and (args.d is None or args.k is None):
         raise SystemExit("bounds-curve --kind weak-bound requires --d and --k")
-    experiments.emit_curves(args.kind, {k: v for k, v in params.items() if v is not None},
-                            args.output or "curve.csv")
+    points = experiments.curve_points(
+        args.kind, {k: v for k, v in params.items() if v is not None}
+    )
+    _emit(
+        args,
+        {"kind": args.kind, "points": [[x, v] for x, v in points]},
+        ["x,value"] + [f"{x},{v}" for x, v in points],  # text output is the CSV table
+        csv_rows=points,
+    )
     return 0
 
 
@@ -378,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-minus", type=float, default=None)
     p.add_argument("--x-plus", type=float, default=None)
 
-    p = add("bounds-curve", _cmd_bounds_curve, help="emit a certificate curve as CSV")
+    p = add("bounds-curve", _cmd_bounds_curve,
+            help="emit a certificate curve (CSV table unless --format json)")
     p.add_argument("--kind", choices=("gamma", "quarter-case", "weak-bound"), required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -427,3 +435,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

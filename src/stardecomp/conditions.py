@@ -496,16 +496,23 @@ def find_x_bounds(params: StarParams) -> tuple[float, float]:
     _require_s1(params)
     if params.r < 2:
         raise DomainError("window selection requires r >= 2")
-    d, k, r = params.d, params.k, params.r
-    a2 = float(params.alpha2)
-    t0, t0p = 2.0 * r / d, 2.0 * k / d
-
-    root_lo = _smallest_positive_root(lambda x: rate_Fd(x, t0, d), a2)
-    x_minus = 0.99 * root_lo if root_lo is not None else a2
-    root_hi = _smallest_positive_root(lambda u: rate_Fd(u, t0p, d), 1.0 - a2)
-    x_plus = 1.0 - 0.99 * root_hi if root_hi is not None else a2
+    x_minus, x_plus = _auto_x_minus(params), _auto_x_plus(params)
     check_x_bounds(params, x_minus, x_plus)
     return x_minus, x_plus
+
+
+def _auto_x_minus(params: StarParams) -> float:
+    """x_minus of ``find_x_bounds``: 0.99 times the first root of F_d(., 2r/d)."""
+    d, a2 = params.d, float(params.alpha2)
+    root = _smallest_positive_root(lambda x: rate_Fd(x, 2.0 * params.r / d, d), a2)
+    return 0.99 * root if root is not None else a2
+
+
+def _auto_x_plus(params: StarParams) -> float:
+    """x_plus of ``find_x_bounds``: 1 - 0.99 times the first root of F_d(., 2k/d)."""
+    d, a2 = params.d, float(params.alpha2)
+    root = _smallest_positive_root(lambda u: rate_Fd(u, 2.0 * params.k / d, d), 1.0 - a2)
+    return 1.0 - 0.99 * root if root is not None else a2
 
 
 @dataclass(frozen=True)
@@ -572,7 +579,8 @@ def weak_certificate(
     Scans ``bound_case1`` on [x_minus, alpha2] and ``bound_case2`` on
     (alpha2, x_plus].  The window defaults to ``find_x_bounds``; explicit
     values are accepted after validation (any smaller x_minus or larger
-    x_plus than a valid pair remains valid).
+    x_plus than a valid pair remains valid), and the root search runs only
+    for a side that is not given.
 
     A side of the window that is empty (x_minus = alpha2, or x_plus =
     alpha2) is not scanned and leaves its curve empty: the window inequality
@@ -587,9 +595,11 @@ def weak_certificate(
         raise DomainError("the certificate machinery requires r >= 2")
     if grid_step > 1e-3:
         raise DomainError("grid_step must be <= 1e-3")
-    auto_lo, auto_hi = find_x_bounds(params)
-    xm = auto_lo if x_minus is None else x_minus
-    xp = auto_hi if x_plus is None else x_plus
+    if x_minus is None and x_plus is None:
+        xm, xp = find_x_bounds(params)
+    else:  # search only for the side that is not given
+        xm = _auto_x_minus(params) if x_minus is None else x_minus
+        xp = _auto_x_plus(params) if x_plus is None else x_plus
     margins = check_x_bounds(params, xm, xp)
 
     a2 = float(params.alpha2)

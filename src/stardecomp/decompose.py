@@ -2,22 +2,18 @@
 
 A k-star decomposition with j(v) stars centered at each vertex v exists
 exactly when the graph has an orientation with out-degree j(v)*k at every v,
-which in turn is a max-flow feasibility question on the network
-
-    source -> v            capacity j(v)*k
-    v -> edge-node e       capacity 1     (for each edge e incident to v)
-    e -> sink              capacity 1
-
-feasible iff the max flow saturates all edge-nodes (= Nd/2).  When
-infeasible, the residual min cut yields a vertex set U with
-e[U] > sum_v j(v)*k over U, certifying that no such decomposition exists.
-The brute-force subset check over all 2^N sets provides the independent
-oracle for small graphs.
+and such an orientation exists iff e[U] <= sum over U of j(v)*k for every
+vertex set U (Hakimi 1965; Frank & Gyarfas 1976).  The orientation is found
+on the graph itself: start from a greedy orientation, then repeatedly reverse
+shortest directed paths from vertices above quota to vertices below it.
+When the vertices above quota reach no vertex below it, the reached set U is
+closed under out-arcs, so e[U] = sum of out-degrees over U > sum of quotas
+over U: a witness that no such decomposition exists.  The brute-force subset
+check over all 2^N sets provides the independent oracle for small graphs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,79 +115,9 @@ class Witness:
         return {"U": sorted(self.U), "lhs": self.lhs, "rhs": self.rhs}
 
 
-class _Dinic:
-    """Max flow by BFS levels + DFS blocking flows; deterministic order."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.head[u]):
-            eid = self.head[u][self.it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[eid]))
-                if got:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                got = self._dfs(s, t, 1 << 60)
-                if not got:
-                    break
-                flow += got
-        return flow
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
-
 def _orient(G: SimpleGraph, profile: StarProfile, exact: bool) -> Orientation | Witness:
-    N, m = G.N, len(G.edges)
+    N, edges = G.N, G.edges
+    m = len(edges)
     if profile.N != N:
         raise ProfileError("profile size does not match graph")
     total = profile.total_quota()
@@ -200,33 +126,100 @@ def _orient(G: SimpleGraph, profile: StarProfile, exact: bool) -> Orientation | 
     if not exact and total < m:
         raise ProfileError(f"sum of j(v)*k = {total} must be >= the edge count {m}")
 
-    # node ids: 0 = source, 1..N = vertices, N+1..N+m = edge nodes, N+m+1 = sink
-    src, snk = 0, N + m + 1
-    net = _Dinic(N + m + 2)
-    for v in range(N):
-        net.add_edge(src, 1 + v, profile.quota(v))
-    vertex_arcs: list[tuple[int, int, int]] = []  # (arc id, vertex, edge id)
-    for eid, (u, v) in enumerate(G.edges):
-        for w in (u, v):
-            arc = net.add_edge(1 + w, 1 + N + eid, 1)
-            vertex_arcs.append((arc, w, eid))
-        net.add_edge(1 + N + eid, snk, 1)
+    # Out-degree at most the quota everywhere is the goal in both modes: with
+    # total quota m it forces equality.  Excess moves along reversed paths.
+    k = profile.k
+    quota = [j * k for j in profile.j_of]
+    other = [u ^ v for u, v in edges]  # other[e] ^ w is the endpoint of e that is not w
+    tails = [0] * m
+    out = [0] * N
+    # Greedy start: the tail goes to the endpoint with the larger share of its
+    # remaining quota per still-unoriented incident edge.
+    left = [G.d] * N
+    for e, (u, v) in enumerate(edges):
+        t = u if (quota[u] - out[u]) * left[v] >= (quota[v] - out[v]) * left[u] else v
+        tails[e] = t
+        out[t] += 1
+        left[u] -= 1
+        left[v] -= 1
+    # arcs[v] lists the edges with tail v.  A reversed edge is appended to its
+    # new tail's list and left in the old one, where the tails check skips it.
+    arcs: list[list[int]] = [[] for _ in range(N)]
+    for e, t in enumerate(tails):
+        arcs[t].append(e)
 
-    if net.max_flow(src, snk) == m:
-        tails = [-1] * m
-        for arc, w, eid in vertex_arcs:
-            if net.cap[arc] == 0:  # saturated: w supplies this edge
-                tails[eid] = w
-        return Orientation(tails=tuple(tails))
+    while True:
+        sources = [v for v in range(N) if out[v] > quota[v]]
+        if not sources:
+            return Orientation(tails=tuple(tails))
 
-    # Min cut: the unreachable vertex layer violates the subset condition.
-    reach = net.reachable(src)
-    U = frozenset(v for v in range(N) if 1 + v not in reach)
-    lhs = edges_within(G, U)
-    rhs = sum(profile.quota(v) for v in U)
-    if lhs <= rhs:
-        raise AssertionError("min cut failed to produce a violating subset")
-    return Witness(U=U, lhs=lhs, rhs=rhs)
+        # Multi-source BFS along out-arcs, one level at a time.  Vertices below
+        # quota are targets and are not expanded; the level that holds the
+        # first target is still expanded, then the search stops.
+        dist = [-1] * N
+        for s in sources:
+            dist[s] = 0
+        reached, frontier, level, found = list(sources), sources, 0, False
+        while frontier and not found:
+            level += 1
+            nxt = []
+            for u in frontier:
+                if out[u] < quota[u]:
+                    found = True
+                    continue
+                for e in arcs[u]:
+                    if tails[e] == u:
+                        w = other[e] ^ u
+                        if dist[w] < 0:
+                            dist[w] = level
+                            nxt.append(w)
+            reached += nxt
+            frontier = nxt
+        if not found:
+            # Every out-arc of the reached set stays inside it, so e[U] is the
+            # sum of its out-degrees, none below quota and the sources above.
+            U = frozenset(reached)
+            lhs = edges_within(G, U)
+            rhs = sum(quota[v] for v in U)
+            if lhs <= rhs:
+                raise AssertionError("reached set failed to violate the subset condition")
+            return Witness(U=U, lhs=lhs, rhs=rhs)
+
+        # Reverse vertex-disjoint shortest paths from the sources to targets.
+        # A vertex taken onto a path gets dist -1, so no later path uses it;
+        # the top of the stack sits at level len(path).
+        ptr = [0] * N
+        for s in sources:
+            while out[s] > quota[s]:
+                stack, path = [s], []
+                while stack:
+                    u = stack[-1]
+                    if out[u] < quota[u]:
+                        for e in path:
+                            t = tails[e] ^ other[e]
+                            tails[e] = t
+                            arcs[t].append(e)
+                        out[s] -= 1
+                        out[u] += 1
+                        break
+                    mine, i, want = arcs[u], ptr[u], len(path) + 1
+                    while i < len(mine):
+                        e = mine[i]
+                        i += 1
+                        if tails[e] == u:
+                            w = other[e] ^ u
+                            if dist[w] == want:
+                                dist[w] = -1
+                                stack.append(w)
+                                path.append(e)
+                                break
+                    else:
+                        stack.pop()
+                        if path:
+                            path.pop()
+                    ptr[u] = i
+                else:
+                    break  # no path left from s in this phase
 
 
 def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation | Witness:

@@ -38,6 +38,7 @@ __all__ = [
     "run_decomposition_trials",
     "empirical_P_Mr",
     "subgraph_density_extremes",
+    "curve_points",
     "emit_curves",
 ]
 
@@ -235,15 +236,8 @@ def subgraph_density_extremes(
     return out
 
 
-def _write_csv(path: str | Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        writer.writerows(rows)
-
-
-def emit_curves(kind: str, params: dict, path: str | Path) -> None:
-    """Write one of the certificate curves as CSV of (x, value) pairs.
+def curve_points(kind: str, params: dict) -> list[tuple[float, float]]:
+    """One of the certificate curves as a list of (x, value) pairs.
 
     kinds: "gamma" (threshold ratio over beta), "quarter-case" (the s >= 2
     reduction curve), "weak-bound" (both bound curves of the certificate for
@@ -252,15 +246,15 @@ def emit_curves(kind: str, params: dict, path: str | Path) -> None:
     n = int(params.get("grid", 2000))
     if kind == "gamma":
         bs = np.linspace(1e-6, 1.0, n)
-        _write_csv(path, zip(bs.tolist(), np.atleast_1d(conditions.gamma_beta(bs)).tolist()))
-    elif kind == "quarter-case":
+        return list(zip(bs.tolist(), np.atleast_1d(conditions.gamma_beta(bs)).tolist()))
+    if kind == "quarter-case":
         bs = np.linspace(1e-9, 1.0 - 1e-9, n)
         from .numerics import entropy_H, rate_F
 
         t = (1.0 + 2.0 * bs) / (2.0 + bs)
         vals = np.asarray(rate_F(bs, t)) / np.asarray(entropy_H(bs))
-        _write_csv(path, zip(bs.tolist(), vals.tolist()))
-    elif kind == "weak-bound":
+        return list(zip(bs.tolist(), vals.tolist()))
+    if kind == "weak-bound":
         p = star_params(int(params["d"]), int(params["k"]))
         cert = weak_certificate(
             p,
@@ -268,6 +262,14 @@ def emit_curves(kind: str, params: dict, path: str | Path) -> None:
             x_minus=params.get("x_minus"),
             x_plus=params.get("x_plus"),
         )
-        _write_csv(path, list(cert.case1_curve) + list(cert.case2_curve))
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
+        return list(cert.case1_curve) + list(cert.case2_curve)
+    raise ValueError(f"unknown curve kind {kind!r}")
+
+
+def emit_curves(kind: str, params: dict, path: str | Path) -> None:
+    """Write ``curve_points(kind, params)`` to ``path`` as CSV with an x,value header."""
+    rows = curve_points(kind, params)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "value"])
+        writer.writerows(rows)

@@ -1,6 +1,10 @@
 """Command-line surface: routing, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,22 @@ class TestDataCommands:
         lines = open(path).read().splitlines()
         assert lines[0] == "x,value" and len(lines) == 101
 
+    def test_bounds_curve_json(self, capsys):
+        code, out, _ = run(capsys, ["bounds-curve", "--kind", "gamma", "--grid", "50",
+                                    "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "gamma" and len(payload["points"]) == 50
+        assert all(len(pt) == 2 and pt[1] < 0 for pt in payload["points"])
+
+    def test_bounds_curve_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["bounds-curve", "--kind", "gamma", "--grid", "10"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "x,value" and len(lines) == 11
+        assert list(tmp_path.iterdir()) == []
+
     def test_pmr(self, capsys):
         code, out, _ = run(capsys, ["pmr", "--n", "4", "--d", "3", "--m", "2",
                                     "--inside", "1", "--format", "json"])
@@ -168,3 +188,17 @@ class TestDataCommands:
         assert read_graph(a).edges == read_graph(b).edges
         monkeypatch.delenv("STARDECOMP_SEED")
         importlib.reload(cli)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_stardecomp(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stardecomp", "ksc", "--d-max", "20", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert [row["d"] for row in rows] == list(range(13, 21))

@@ -295,6 +295,25 @@ class TestWeakCertificate:
         assert cert.max_bound == max(check_x_bounds(p, a2, a2)) < 0
         json.dumps(cert.to_dict(), allow_nan=False)
 
+    def test_explicit_window_skips_root_search(self, monkeypatch):
+        import stardecomp.conditions as conditions
+
+        p = star_params(99, 48)
+        xm, xp = find_x_bounds(p)
+        default = weak_certificate(p)
+
+        def fail(params):
+            raise NoGapError("root search must not run for an explicit window")
+
+        monkeypatch.setattr(conditions, "find_x_bounds", fail)
+        cert = weak_certificate(p, x_minus=xm, x_plus=xp)
+        assert cert.verdict
+        assert (cert.x_minus, cert.x_plus) == (xm, xp)
+        assert cert.max_bound == default.max_bound
+        # One given side still searches for the other one alone.
+        half = weak_certificate(p, x_minus=xm)
+        assert (half.x_minus, half.x_plus) == (xm, xp)
+
     def test_rejects_wrong_regime(self):
         with pytest.raises(DomainError):
             weak_certificate(star_params(30, 7))  # s = 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stardecomp.decompose import (
@@ -24,6 +24,7 @@ from stardecomp.decompose import (
 )
 from stardecomp.graph import (
     GraphError,
+    SimpleGraph,
     complete_graph,
     cycle_graph,
     edges_within,
@@ -112,6 +113,23 @@ class TestDecompose:
         with pytest.raises(ProfileError):
             decompose(G, 3, StarProfile(k=2, j_of=(1, 1)))
 
+    def test_deep_reversal_path(self):
+        # A 6 000-cycle with permuted labels and one surplus/deficit pair
+        # half the cycle apart: the excess must travel ~3 000 arcs.
+        n = 6000
+        perm = np.random.default_rng(0).permutation(n)
+        edges = sorted(
+            tuple(sorted((int(perm[i]), int(perm[(i + 1) % n])))) for i in range(n)
+        )
+        G = SimpleGraph(N=n, d=2, edges=tuple(edges))
+        j = [1] * n
+        j[perm[0]], j[perm[3000]] = 2, 0
+        prof = StarProfile(k=1, j_of=tuple(j))
+        result = decompose(G, 1, prof)
+        assert isinstance(result, StarDecomposition)
+        ok, why = verify_decomposition(G, 1, prof, result)
+        assert ok, why
+
     def test_bounded_orientation(self):
         G = cycle_graph(4)
         prof = StarProfile(k=2, j_of=(1, 1, 1, 1))  # quota 8 >= 4 edges
@@ -139,6 +157,55 @@ class TestAgreementWithBruteForce:
         assert isinstance(flow, StarDecomposition) == (brute is True)
         if brute is not True:
             assert brute.lhs > brute.rhs
+
+    @given(
+        N=st.integers(3, 14),
+        d=st.integers(2, 5),
+        k=st.integers(1, 3),
+        moves=st.integers(0, 6),
+        extra=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_both_modes_match_subset_condition(self, N, d, k, moves, extra, seed):
+        # Exact mode on a profile with total quota m (the m/k stars dealt out
+        # evenly, then `moves` of them moved at random), bounds mode on the
+        # same profile plus `extra` stars: each is feasible iff no subset U
+        # has e[U] above its quota, and an infeasible answer carries such a U.
+        assume(d < N and N * d % 2 == 0)
+        G = sample_simple(N, d, seed=seed)
+        m = len(G.edges)
+        assume(m % k == 0)
+        rng = np.random.default_rng(seed)
+        j = np.bincount(rng.permutation(N)[np.arange(m // k) % N], minlength=N)
+        for _ in range(moves):
+            a, b = rng.integers(0, N, size=2)
+            if j[a]:
+                j[a] -= 1
+                j[b] += 1
+        exact = StarProfile(k=k, j_of=tuple(int(x) for x in j))
+        j += np.bincount(rng.integers(0, N, size=extra), minlength=N)
+        bounds = StarProfile(k=k, j_of=tuple(int(x) for x in j))
+        for orient, prof in (
+            (orient_with_outdegrees, exact),
+            (orient_with_outdegree_bounds, bounds),
+        ):
+            result = orient(G, prof)
+            brute = brute_force_condition(G, prof)
+            assert isinstance(result, Witness) == (brute is not True)
+            if isinstance(result, Witness):
+                assert edges_within(G, result.U) == result.lhs
+                assert sum(prof.quota(v) for v in result.U) == result.rhs
+                assert result.lhs > result.rhs
+                continue
+            out = [0] * N
+            for (u, v), tail in zip(G.edges, result.tails):
+                assert tail in (u, v)
+                out[tail] += 1
+            if orient is orient_with_outdegrees:
+                assert out == [prof.quota(v) for v in range(N)]
+            else:
+                assert all(out[v] <= prof.quota(v) for v in range(N))
 
     def test_witness_is_lexicographically_first(self):
         G = cycle_graph(5)
