@@ -236,18 +236,18 @@ def stars_from_orientation(
     G: SimpleGraph, orientation: Orientation, profile: StarProfile
 ) -> StarDecomposition:
     """Group each vertex's outgoing edges (ascending edge id) into k-stars."""
+    k, j_of = profile.k, profile.j_of
     out: list[list[int]] = [[] for _ in range(G.N)]
     for eid, tail in enumerate(orientation.tails):
-        out[tail].append(eid)
+        out[tail].append(eid)  # eid increases, so each list is ascending
     stars = []
-    for v in range(G.N):
-        if len(out[v]) != profile.quota(v):
+    for v, ids in enumerate(out):
+        if len(ids) != j_of[v] * k:
             raise ProfileError(
-                f"vertex {v} has out-degree {len(out[v])}, profile demands {profile.quota(v)}"
+                f"vertex {v} has out-degree {len(ids)}, profile demands {j_of[v] * k}"
             )
-        ids = sorted(out[v])
-        for i in range(0, len(ids), profile.k):
-            stars.append(Star(center=v, edge_ids=tuple(ids[i : i + profile.k])))
+        for i in range(0, len(ids), k):
+            stars.append(Star(center=v, edge_ids=tuple(ids[i : i + k])))
     return StarDecomposition(stars=tuple(stars))
 
 

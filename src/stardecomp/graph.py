@@ -134,6 +134,15 @@ def _check_vertex_set(N: int, U) -> frozenset:
     return U
 
 
+def _draw_pairs(N: int, d: int, seed) -> np.ndarray:
+    """Half-edge pairs of a uniform random pairing, one (N*d/2, 2) row each.
+
+    The single place the pairing stream is drawn, so ``gen_configuration``
+    and ``reject_to_simple`` see the same pairing for the same seed.
+    """
+    return np.random.default_rng(seed).permutation(N * d).reshape(-1, 2)
+
+
 def gen_configuration(N: int, d: int, seed) -> MultiGraph:
     """Uniform random pairing of N*d half-edges, deterministic given seed.
 
@@ -144,13 +153,9 @@ def gen_configuration(N: int, d: int, seed) -> MultiGraph:
         raise GraphError("need N >= 1 and d >= 1")
     if (N * d) % 2 != 0:
         raise ParityError("N*d must be even")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(N * d)
-    pairing = tuple(
-        (int(min(perm[i], perm[i + 1])), int(max(perm[i], perm[i + 1])))
-        for i in range(0, N * d, 2)
-    )
-    return MultiGraph(N=N, d=d, pairing=pairing)
+    pairs = _draw_pairs(N, d, seed)
+    pairs.sort(axis=1)
+    return MultiGraph(N=N, d=d, pairing=tuple(map(tuple, pairs.tolist())))
 
 
 def is_simple(G: MultiGraph) -> bool:
@@ -171,15 +176,28 @@ def multigraph_to_simple(G: MultiGraph) -> SimpleGraph:
 def reject_to_simple(N: int, d: int, seed: int, max_tries: int = 10_000) -> SimpleGraph:
     """Uniform simple d-regular graph via rejection from the pairing model.
 
-    Exact but only practical for small d: the acceptance probability decays
-    like exp(-(d^2-1)/4), so use ``sample_simple`` for d above ~6.
+    Try t draws the same pairing as ``gen_configuration(N, d, [seed, t])``
+    and the first simple one is returned, so the result is exactly uniform
+    over labelled simple d-regular graphs.  Draws are tested as arrays; no
+    ``MultiGraph`` is built.  The acceptance probability decays like
+    exp(-(d^2-1)/4), so the Monte Carlo trials use ``sample_simple`` for
+    d above 5.
     """
-    if N <= d:
-        raise GraphError("need N > d for a simple d-regular graph")
+    if d < 1 or N <= d:
+        raise GraphError("need N > d >= 1 for a simple d-regular graph")
+    if (N * d) % 2 != 0:
+        raise ParityError("N*d must be even")
     for trial in range(max_tries):
-        G = gen_configuration(N, d, [seed, trial])
-        if is_simple(G):
-            return multigraph_to_simple(G)
+        ends = _draw_pairs(N, d, [seed, trial]) // d
+        ends.sort(axis=1)
+        u, v = ends[:, 0], ends[:, 1]
+        if (u == v).any():
+            continue  # loop
+        key = u * N + v
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            continue  # parallel edge
+        return SimpleGraph(N=N, d=d, edges=tuple(zip((key // N).tolist(), (key % N).tolist())))
     raise ExhaustionError(max_tries)
 
 
@@ -187,9 +205,10 @@ def sample_simple(N: int, d: int, seed: int, max_restarts: int = 1_000) -> Simpl
     """Simple d-regular graph via stub matching with restart on collisions.
 
     Pairs random stubs, skipping pairs that would create a loop or parallel
-    edge, and restarts when stuck.  Fast for moderate d and asymptotically
-    uniform, unlike ``reject_to_simple`` it stays practical when the
-    rejection route would essentially never accept.
+    edge, and restarts when stuck.  Unlike ``reject_to_simple`` it stays
+    practical when the rejection route would essentially never accept, but
+    its law is not uniform: at N=6, d=3, seeds 0..19 999 gave K_{3,3} with
+    frequency 0.1535 against the uniform 1/7 = 0.1429 (about 4.3 sigma).
     """
     if N <= d:
         raise GraphError("need N > d for a simple d-regular graph")

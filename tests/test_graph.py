@@ -1,5 +1,6 @@
 """Graph representations, configuration-model samplers, and file formats."""
 
+import itertools
 import math
 
 import numpy as np
@@ -109,6 +110,61 @@ class TestSimpleGraphs:
         G = cycle_graph(4)
         inc = G.incident_edges()
         assert all(len(lst) == 2 for lst in inc)
+
+
+def _first_simple_configuration(N, d, seed):
+    for t in itertools.count():
+        G = gen_configuration(N, d, [seed, t])
+        if is_simple(G):
+            return multigraph_to_simple(G)
+
+
+def _labelled_cubic_graphs_on_6():
+    pairs = list(itertools.combinations(range(6), 2))
+    return {
+        es
+        for es in itertools.combinations(pairs, 9)
+        if all(sum(v in e for e in es) == 3 for v in range(6))
+    }
+
+
+class TestRejectionSampler:
+    @pytest.mark.parametrize("N, d", [(30, 4), (10, 3), (12, 5), (8, 2)])
+    def test_same_stream_as_gen_configuration(self, N, d):
+        for seed in range(10):
+            assert reject_to_simple(N, d, seed) == _first_simple_configuration(N, d, seed)
+
+    def test_parity(self):
+        with pytest.raises(ParityError):
+            reject_to_simple(7, 3, 0)
+
+    def test_degree_zero(self):
+        with pytest.raises(GraphError):
+            reject_to_simple(5, 0, 0)
+
+    def test_exhaustion(self):
+        # K6 is the only simple 5-regular graph on 6 vertices: rarely drawn.
+        assert not any(is_simple(gen_configuration(6, 5, [0, t])) for t in range(3))
+        with pytest.raises(ExhaustionError) as info:
+            reject_to_simple(6, 5, 0, max_tries=3)
+        assert info.value.attempts == 3
+
+    def test_exact_law_on_labelled_cubic_graphs(self):
+        """7000 seeds at N=6, d=3: uniform over the 70 labelled cubic graphs.
+
+        111.06 is the upper 0.1 % point of chi-square with 69 degrees of
+        freedom.  ``sample_simple`` is not held to this: its law is biased.
+        """
+        graphs = _labelled_cubic_graphs_on_6()
+        assert len(graphs) == 70
+        draws = 7000
+        counts = dict.fromkeys(graphs, 0)
+        for seed in range(draws):
+            counts[reject_to_simple(6, 3, seed).edges] += 1
+        expected = draws / len(graphs)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert min(counts.values()) > 0
+        assert chi2 < 111.06, chi2
 
 
 class TestEdgeCounts:
