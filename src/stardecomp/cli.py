@@ -333,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--threads", type=int, default=None)
         return p
 
     p = add("gen", _cmd_gen, help="sample a simple d-regular graph")
@@ -371,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=int)
     g.add_argument("--d-max", type=int)
+    p.add_argument("--threads", type=int, default=None, help="worker processes for --d-max")
 
     p = add("gamma", _cmd_gamma, help="threshold ratio at a given beta")
     p.add_argument("--beta", type=float, required=True)

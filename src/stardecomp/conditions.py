@@ -435,24 +435,21 @@ def bound_case2(x, params: StarParams):
 # ---------------------------------------------------------------------------
 
 _BISECT_TOL = 1e-12
-_BISECT_CAP = 200
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+_SECTIONS = 1024
 
 
 def _smallest_positive_root(f, upper: float, grid: int = 4000) -> float | None:
-    """First sign change of f on (0, upper], located by bisection."""
+    """First sign change of f on (0, upper], located by vectorised k-section.
+
+    f is evaluated once on a ``grid``-point grid over (0, upper].  The first
+    cell where f goes from negative to >= 0 is then cut into ``_SECTIONS``
+    parts by one call of f on the interior points, keeping the first part
+    where f goes from negative to >= 0.  This repeats until the bracket is
+    narrower than ``_BISECT_TOL`` (three levels for any cell of a grid of at
+    least 1 000 points on a unit interval), or stops shrinking because its
+    ends are adjacent floats; the midpoint is returned.  Returns ``xs[0]``
+    when f is already >= 0 there and None when f stays negative.
+    """
     xs = np.linspace(upper / grid, upper, grid)
     vals = _as_array(f(xs))
     if vals[0] >= 0:
@@ -461,7 +458,15 @@ def _smallest_positive_root(f, upper: float, grid: int = 4000) -> float | None:
     if nonneg.size == 0:
         return None
     i = int(nonneg[0])
-    return _bisect(f, float(xs[i - 1]), float(xs[i]))
+    lo, hi = float(xs[i - 1]), float(xs[i])
+    while hi - lo >= _BISECT_TOL:
+        pts = np.linspace(lo, hi, _SECTIONS + 1)  # pts[0] == lo, pts[-1] == hi
+        nonneg = np.nonzero(_as_array(f(pts[1:-1])) >= 0)[0]
+        j = int(nonneg[0]) + 1 if nonneg.size else _SECTIONS
+        if (pts[j - 1], pts[j]) == (lo, hi):
+            break
+        lo, hi = float(pts[j - 1]), float(pts[j])
+    return 0.5 * (lo + hi)
 
 
 def check_x_bounds(params: StarParams, x_minus: float, x_plus: float) -> tuple[float, float]:
@@ -596,11 +601,11 @@ def weak_certificate(
     if grid_step > 1e-3:
         raise DomainError("grid_step must be <= 1e-3")
     if x_minus is None and x_plus is None:
-        xm, xp = find_x_bounds(params)
+        xm, xp = find_x_bounds(params)  # validates the window it returns
     else:  # search only for the side that is not given
         xm = _auto_x_minus(params) if x_minus is None else x_minus
         xp = _auto_x_plus(params) if x_plus is None else x_plus
-    margins = check_x_bounds(params, xm, xp)
+        check_x_bounds(params, xm, xp)
 
     a2 = float(params.alpha2)
     xs1 = v1 = xs2 = v2 = np.empty(0)
@@ -613,7 +618,9 @@ def weak_certificate(
             lambda x: bound_case2(x, params), a2 * (1.0 + 1e-12), xp, grid_step
         )
     scanned = np.concatenate([v1, v2])
-    max_bound = float(scanned.max() if scanned.size else max(margins))
+    max_bound = float(
+        scanned.max() if scanned.size else max(check_x_bounds(params, xm, xp))
+    )
     if abs(max_bound) <= DECISION_MARGIN:
         raise InconclusiveError(
             f"curve maximum {max_bound} within the decision band; refine the scan"

@@ -33,7 +33,6 @@ __all__ = [
     "rate_F",
     "rate_F_dt",
     "rate_Fd",
-    "F_ratio",
     "phi",
     "F_upper_estimate",
     "F_main_term_bound",
@@ -75,11 +74,10 @@ def _check_unit(x: np.ndarray, name: str) -> None:
 def _h(x: np.ndarray) -> np.ndarray:
     """-x log x with the limit value 0 at x = 0; no domain checks."""
     x = np.clip(x, 0.0, 1.0)
-    out = np.zeros_like(x)
-    m = (x > 0.0) & (x < 1.0)
-    xm = x[m]
-    out[m] = -xm * np.log(xm)
-    return out
+    # log(1) = +0.0 makes the product -0.0 at x = 0 and x = 1; adding +0.0
+    # turns that into +0.0 (callers test signs with np.signbit) and leaves
+    # every other value unchanged.
+    return -x * np.log(np.where(x > 0.0, x, 1.0)) + 0.0
 
 
 def _H(x: np.ndarray) -> np.ndarray:
@@ -177,16 +175,6 @@ def rate_Fd(x, t, d):
         raise DomainError("degree d must be >= 3")
     xa = _as_array(x)
     val = d * _as_array(rate_F(x, t)) + _H(xa)
-    return _maybe_scalar(val, x, t)
-
-
-def F_ratio(x, t):
-    """F(x, t) / H(x); increasing in x, tends to -t/2 as x -> 0+."""
-    xa = _as_array(x)
-    Hx = _H(xa)
-    if np.any(Hx == 0.0):
-        raise DomainError("F_ratio undefined where H(x) = 0 (x in {0, 1})")
-    val = _as_array(rate_F(x, t)) / Hx
     return _maybe_scalar(val, x, t)
 
 

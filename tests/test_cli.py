@@ -31,6 +31,9 @@ class TestRouting:
         assert code == 2
         code, _, _ = run(capsys, ["strong"])  # missing required flags
         assert code == 2
+        # --threads belongs to ksc alone
+        code, _, _ = run(capsys, ["strong", "--d", "20", "--k", "6", "--threads", "2"])
+        assert code == 2
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, ["strong", "--d", "10", "--k", "6"])

@@ -33,8 +33,9 @@ from stardecomp.conditions import (
     weak_certificate,
     ytilde_case1,
     ytilde_case2,
+    _smallest_positive_root,
 )
-from stardecomp.numerics import DomainError, entropy_H, rate_F
+from stardecomp.numerics import DomainError, entropy_H, rate_F, rate_Fd
 
 
 class TestStarParams:
@@ -249,7 +250,40 @@ class TestBoundCurves:
             bound_case1(0.5, star_params(30, 7))  # s = 2: wrong regime
 
 
+def window_sides(p):
+    """The two functions whose first roots set the window, with their ranges."""
+    d, a2 = p.d, float(p.alpha2)
+    return [
+        (lambda x: rate_Fd(x, 2.0 * p.r / d, d), a2),
+        (lambda u: rate_Fd(u, 2.0 * p.k / d, d), 1.0 - a2),
+    ]
+
+
 class TestWindow:
+    @pytest.mark.parametrize("d,k", [(99, 48), (98, 48), (40, 18), (60, 27), (23, 8)])
+    def test_root_is_first_sign_change(self, d, k):
+        for f, upper in window_sides(star_params(d, k)):
+            calls = []
+
+            def counted(x):
+                calls.append(np.size(x))
+                return f(x)
+
+            root = _smallest_positive_root(counted, upper)
+            assert root is not None
+            # the grid plus one vectorised call per level, never a scalar loop
+            assert len(calls) <= 5, calls
+            assert f(root - 1e-12) < 0 <= f(root + 1e-12)
+            xs = np.linspace(upper / 4000, upper, 4000)
+            assert np.all(f(xs[xs < root]) < 0)
+
+    def test_root_search_stops_at_float_granularity(self):
+        # Floats near 1e4 are 1.8e-12 apart, so the bracket can never get
+        # narrower than the tolerance; the search must still end next to
+        # the root.
+        root = _smallest_positive_root(lambda x: np.asarray(x) - 10000.3, 16000.0)
+        assert abs(root - 10000.3) <= 2 * np.spacing(10000.3)
+
     def test_reproduction_window(self):
         p = star_params(99, 48)
         xm, xp = find_x_bounds(p)

@@ -27,6 +27,7 @@ from stardecomp.numerics import (
     rate_F,
     rate_F_dt,
     rate_Fd,
+    _h,
 )
 
 
@@ -56,6 +57,15 @@ class TestEntropy:
     @given(st.floats(0.0, 1.0))
     def test_H_bounded_by_log2(self, x):
         assert -1e-15 <= entropy_H(x) <= math.log(2) + 1e-15
+
+    def test_h_kernel_zeros_are_positive_and_interior_is_exact(self):
+        # _scan_curve branches on np.signbit, so h(0) and h(1) must be +0.0.
+        for x in (np.asarray(0.0), np.asarray(1.0), np.array([0.0, 1.0])):
+            out = _h(x)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+        x = np.random.default_rng(0).random(4000)
+        x = x[x > 0]
+        assert np.array_equal(_h(x).view(np.int64), (-x * np.log(x)).view(np.int64))
 
     def test_array_shape(self):
         xs = np.linspace(0, 1, 7)
