@@ -1,12 +1,12 @@
 """k-star decompositions of regular graphs and their numeric certificates.
 
-Subpackages:
+Modules:
 
 - ``numerics``: entropy rate functions and exact pairing-model probabilities
 - ``conditions``: strong/weak decomposition conditions and threshold tables
 - ``graph``: regular-graph representations and configuration-model samplers
 - ``decompose``: path-reversal orientation pipeline, verification, subset oracle
-- ``experiments``: reproducible Monte Carlo harness and curve emission
+- ``experiments``: reproducible Monte Carlo harness and certificate curves
 - ``cli``: command-line surface (``stardecomp`` entry point)
 """
 

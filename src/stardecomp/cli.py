@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import importlib
 
 from . import conditions, experiments, numerics
 from . import graph as gr
-
-# The package re-exports the decompose *function* under the same name as the
-# submodule, so bind the module explicitly.
-dc = importlib.import_module(".decompose", __package__)
+from .decompose import (
+    StarProfile,
+    Witness,
+    balanced_profile,
+    brute_force_condition,
+    check_condition_U,
+    decompose,
+    read_decomposition,
+    verify_decomposition,
+)
 
 __all__ = ["dispatch", "main"]
 
@@ -65,14 +69,9 @@ def _read_vertex_set(path: str) -> frozenset:
     return frozenset(out)
 
 
-def _profile_for(G: gr.SimpleGraph, k: int, a_path: str | None) -> dc.StarProfile:
-    s = G.d // (2 * k)
-    r = G.d - 2 * s * k
-    if a_path is not None:
-        A = _read_vertex_set(a_path)
-    else:
-        A = frozenset(range(G.N * r // (2 * k))) if r else frozenset()
-    return dc.balanced_profile(G.N, G.d, k, A)
+def _profile_for(G: gr.SimpleGraph, k: int, a_path: str | None) -> StarProfile:
+    A = None if a_path is None else _read_vertex_set(a_path)
+    return balanced_profile(G.N, G.d, k, A)
 
 
 # --------------------------------------------------------------------------
@@ -94,8 +93,8 @@ def _cmd_gen(args) -> int:
 def _cmd_decompose(args) -> int:
     G = gr.read_graph(args.graph)
     profile = _profile_for(G, args.k, args.A)
-    result = dc.decompose(G, args.k, profile)
-    if isinstance(result, dc.Witness):
+    result = decompose(G, args.k, profile)
+    if isinstance(result, Witness):
         _emit(
             args,
             {"feasible": False, "witness": result.to_dict()},
@@ -126,7 +125,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     G = gr.read_graph(args.graph)
-    D = dc.read_decomposition(args.decomposition)
+    D = read_decomposition(args.decomposition)
     if args.A is not None:
         profile = _profile_for(G, args.k, args.A)
     else:
@@ -137,8 +136,8 @@ def _cmd_verify(args) -> int:
                       ["invalid: star center out of range"])
                 return 1
             counts[star.center] += 1
-        profile = dc.StarProfile(k=args.k, j_of=tuple(counts))
-    ok, why = dc.verify_decomposition(G, args.k, profile, D)
+        profile = StarProfile(k=args.k, j_of=tuple(counts))
+    ok, why = verify_decomposition(G, args.k, profile, D)
     _emit(args, {"valid": ok, "reason": why}, ["valid" if ok else f"invalid: {why}"])
     return 0 if ok else 1
 
@@ -147,7 +146,7 @@ def _cmd_cond_check(args) -> int:
     G = gr.read_graph(args.graph)
     profile = _profile_for(G, args.k, args.A)
     U = frozenset(int(tok) - 1 for tok in args.U.replace(",", " ").split())
-    holds_u, holds_uc = dc.check_condition_U(G, profile, U)
+    holds_u, holds_uc = check_condition_U(G, profile, U)
     _emit(
         args,
         {"U": sorted(v + 1 for v in U), "holds_U": holds_u, "holds_complement": holds_uc},
@@ -159,7 +158,7 @@ def _cmd_cond_check(args) -> int:
 def _cmd_brute_check(args) -> int:
     G = gr.read_graph(args.graph)
     profile = _profile_for(G, args.k, args.A)
-    result = dc.brute_force_condition(G, profile)
+    result = brute_force_condition(G, profile)
     if result is True:
         _emit(args, {"holds": True}, ["condition holds for all subsets"])
         return 0
@@ -184,21 +183,9 @@ def _cmd_strong(args) -> int:
     return 0 if res.holds else 1
 
 
-def _ksc_row(d: int) -> tuple[int, int]:
-    return d, conditions.k_sc(d).k_sc
-
-
 def _cmd_ksc(args) -> int:
-    if args.d is not None:
-        ds = [args.d]
-    else:
-        ds = list(range(13, args.d_max + 1))
-    workers = args.threads or os.cpu_count() or 1
-    if workers > 1 and len(ds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_ksc_row, ds))
-    else:
-        rows = [_ksc_row(d) for d in ds]
+    ds = [args.d] if args.d is not None else range(13, args.d_max + 1)
+    rows = [(d, conditions.k_sc(d).k_sc) for d in ds]
     _emit(
         args,
         {"rows": [{"d": d, "k_sc": k} for d, k in rows]},
@@ -272,8 +259,6 @@ def _cmd_pmr(args) -> int:
         cell = numerics.SubgraphCount(args.n, args.d, args.m, args.inside)
     else:
         cell = numerics.SubgraphCount.from_average_degree(args.n, args.d, args.m, args.r)
-    import math
-
     logp = numerics.exact_P_Mr(cell)
     payload = {
         "N": args.n, "d": args.d, "M": args.m,
@@ -370,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=int)
     g.add_argument("--d-max", type=int)
-    p.add_argument("--threads", type=int, default=None, help="worker processes for --d-max")
 
     p = add("gamma", _cmd_gamma, help="threshold ratio at a given beta")
     p.add_argument("--beta", type=float, required=True)

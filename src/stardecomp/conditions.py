@@ -43,7 +43,6 @@ __all__ = [
     "NoGapError",
     "InconclusiveError",
     "StarParams",
-    "ProfilePoint",
     "StrongResult",
     "ThresholdRow",
     "WeakCertificate",
@@ -52,6 +51,7 @@ __all__ = [
     "k_sc",
     "k_sc_max_k",
     "gamma_beta",
+    "quarter_case_ratio",
     "scan_quarter_case",
     "C0",
     "t_value",
@@ -130,35 +130,6 @@ def star_params(d: int, k: int) -> StarParams:
 
 
 @dataclass(frozen=True)
-class ProfilePoint:
-    """Intersection profile of a vertex set with the two star classes.
-
-    ``x1``/``x2`` are the densities of the intersections with the s-star
-    and (s+1)-star classes (of densities alpha1, alpha2).
-    """
-
-    x1: float
-    x2: float
-
-    def validate(self, params: StarParams) -> None:
-        if not 0.0 <= self.x1 <= float(params.alpha1) + 1e-12:
-            raise DomainError("x1 must lie in [0, alpha1]")
-        if not 0.0 <= self.x2 <= float(params.alpha2) + 1e-12:
-            raise DomainError("x2 must lie in [0, alpha2]")
-
-    @property
-    def x(self) -> float:
-        return self.x1 + self.x2
-
-    def in_region(self, params: StarParams, x_minus: float, x_plus: float) -> bool:
-        """Window membership plus the slope constraint x1/x2 <= alpha1/alpha2."""
-        self.validate(params)
-        if not x_minus <= self.x <= x_plus:
-            return False
-        return self.x1 * float(params.alpha2) <= float(params.alpha1) * self.x2 + 1e-12
-
-
-@dataclass(frozen=True)
 class StrongResult:
     holds: bool
     margin: float  # value of F_d(x0, t0); negative means the condition holds
@@ -207,26 +178,17 @@ def k_sc_max_k(d: int) -> int:
     return (d - 3) // 2 if d % 2 else d // 2 - 2
 
 
-def k_sc(d: int, full_scan: bool = False) -> ThresholdRow:
+def k_sc(d: int) -> ThresholdRow:
     """Largest k < d/2 - 1 for which the decomposition condition holds at (d, k).
 
     2k | d counts as holding (trivial Eulerian case); otherwise the strong
-    condition decides.  Scans k downward and returns at the first hit; with
-    ``full_scan`` the whole column is evaluated and the maximum returned
-    (guards against non-monotonicity in k).
+    condition decides.  Scans k downward and returns at the first hit.
     """
-    best = None
     for k in range(k_sc_max_k(d), 1, -1):
         p = star_params(d, k)
-        holds = True if p.r == 0 else strong_condition(p).holds
-        if holds:
-            if not full_scan:
-                return ThresholdRow(d=d, k_sc=k)
-            if best is None:
-                best = k
-    if best is None:
-        raise RegimeError(f"no k in [2, {k_sc_max_k(d)}] satisfies the condition for d={d}")
-    return ThresholdRow(d=d, k_sc=best)
+        if p.r == 0 or strong_condition(p).holds:
+            return ThresholdRow(d=d, k_sc=k)
+    raise RegimeError(f"no k in [2, {k_sc_max_k(d)}] satisfies the condition for d={d}")
 
 
 def gamma_beta(beta):
@@ -241,28 +203,29 @@ def gamma_beta(beta):
     return _maybe_scalar(val, beta)
 
 
+def quarter_case_ratio(b: np.ndarray) -> np.ndarray:
+    """F(b, (1+2b)/(2+b))/H(b) on an array of b in (0, 1): the s >= 2 curve."""
+    t = (1.0 + 2.0 * b) / (2.0 + b)
+    return _as_array(rate_F(b, t)) / _H(b)
+
+
 def scan_quarter_case(grid: int = 10_000) -> tuple[float, bool]:
-    """Max of F(b, (1+2b)/(2+b))/H(b) over b in (0, 1]; verdict: < -1/9.
+    """Max of ``quarter_case_ratio`` over b in (0, 1]; verdict: < -1/9.
 
     Endpoints are handled by one-sided limits (the ratio tends to a finite
     value at both ends); refinement doubles the grid around the argmax.
     """
     if grid < 1000:
         raise DomainError("grid must be >= 1000")
-
-    def curve(b):
-        t = (1.0 + 2.0 * b) / (2.0 + b)
-        return _as_array(rate_F(b, t)) / _H(b)
-
     lo, hi = 1e-9, 1.0 - 1e-9
     bs = np.linspace(lo, hi, grid)
-    vals = curve(bs)
+    vals = quarter_case_ratio(bs)
     i = int(np.argmax(vals))
     # local refinement around the coarse argmax
     a = bs[max(i - 1, 0)]
     b = bs[min(i + 1, grid - 1)]
     fine = np.linspace(a, b, 2 * grid)
-    max_value = float(max(vals.max(), curve(fine).max()))
+    max_value = float(max(vals.max(), quarter_case_ratio(fine).max()))
     return max_value, max_value < -1.0 / 9.0
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "Witness",
     "balanced_profile",
     "orient_with_outdegrees",
-    "orient_with_outdegree_bounds",
     "stars_from_orientation",
     "decompose",
     "verify_decomposition",
@@ -67,21 +66,29 @@ class StarProfile:
         return self.k * sum(self.j_of)
 
 
-def balanced_profile(N: int, d: int, k: int, A) -> StarProfile:
-    """Profile with s+1 stars on A and s elsewhere, s = floor(d/2k).
+def _star_counts(N: int, d: int, k: int) -> tuple[int, int]:
+    """(s, |A|) of the balanced profile: d = 2sk + r and |A| = N*r/(2k).
 
-    Requires Nd/(2k) integral and |A| = N*r/(2k) exactly (r = d - 2sk).
+    N*d and N*r agree modulo 2k, so Nd/(2k) integral makes |A| integral too.
     """
     if (N * d) % (2 * k) != 0:
         raise ProfileError(f"Nd/(2k) = {N * d}/{2 * k} is not an integer")
-    s = d // (2 * k)
-    r = d - 2 * s * k
-    A = frozenset(A)
+    s, r = divmod(d, 2 * k)
+    return s, N * r // (2 * k)
+
+
+def balanced_profile(N: int, d: int, k: int, A=None) -> StarProfile:
+    """Profile with s+1 stars on A and s elsewhere, s = floor(d/2k).
+
+    Requires Nd/(2k) integral and |A| = N*r/(2k) exactly (r = d - 2sk).
+    ``A=None`` takes the first N*r/(2k) vertices.
+    """
+    s, a_size = _star_counts(N, d, k)
+    A = frozenset(range(a_size)) if A is None else frozenset(A)
     if A and (min(A) < 0 or max(A) >= N):
         raise ProfileError("A contains out-of-range vertex ids")
-    want = N * r // (2 * k)
-    if N * r % (2 * k) != 0 or len(A) != want:
-        raise ProfileError(f"|A| must equal N*r/(2k) = {N * r / (2 * k)}, got {len(A)}")
+    if len(A) != a_size:
+        raise ProfileError(f"|A| must equal N*r/(2k) = {a_size}, got {len(A)}")
     return StarProfile(k=k, j_of=tuple(s + 1 if v in A else s for v in range(N)))
 
 
@@ -115,19 +122,18 @@ class Witness:
         return {"U": sorted(self.U), "lhs": self.lhs, "rhs": self.rhs}
 
 
-def _orient(G: SimpleGraph, profile: StarProfile, exact: bool) -> Orientation | Witness:
+def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation | Witness:
+    """Orientation with out-degree exactly j(v)*k at every v, or a Witness."""
     N, edges = G.N, G.edges
     m = len(edges)
     if profile.N != N:
         raise ProfileError("profile size does not match graph")
     total = profile.total_quota()
-    if exact and total != m:
+    if total != m:
         raise ProfileError(f"sum of j(v)*k = {total} must equal the edge count {m}")
-    if not exact and total < m:
-        raise ProfileError(f"sum of j(v)*k = {total} must be >= the edge count {m}")
 
-    # Out-degree at most the quota everywhere is the goal in both modes: with
-    # total quota m it forces equality.  Excess moves along reversed paths.
+    # Out-degree at most the quota everywhere is the goal: with total quota m
+    # it forces equality.  Excess moves along reversed paths.
     k = profile.k
     quota = [j * k for j in profile.j_of]
     other = [u ^ v for u, v in edges]  # other[e] ^ w is the endpoint of e that is not w
@@ -220,16 +226,6 @@ def _orient(G: SimpleGraph, profile: StarProfile, exact: bool) -> Orientation | 
                     ptr[u] = i
                 else:
                     break  # no path left from s in this phase
-
-
-def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation | Witness:
-    """Orientation with out-degree exactly j(v)*k at every v, or a Witness."""
-    return _orient(G, profile, exact=True)
-
-
-def orient_with_outdegree_bounds(G: SimpleGraph, profile: StarProfile) -> Orientation | Witness:
-    """Orientation with out-degree at most j(v)*k; needs total quota >= Nd/2."""
-    return _orient(G, profile, exact=False)
 
 
 def stars_from_orientation(

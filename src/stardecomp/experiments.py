@@ -2,27 +2,25 @@
 
 Trials are reproducible: each trial uses a sub-seed derived from (seed,
 trial index), so replaying a single record or running trials in any order
-gives identical outcomes.  Reports serialize to JSON (schema version 1) and
-curve data to CSV with an "x,value" header.
+gives identical outcomes.  Reports serialize to JSON (schema version 1).
+``curve_points`` tabulates the certificate curves as (x, value) pairs; the
+CLI's ``bounds-curve`` prints them.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import conditions
 from .conditions import star_params, weak_certificate
-from .decompose import Witness, balanced_profile, decompose
+from .decompose import Witness, _star_counts, balanced_profile, decompose
 from .graph import (
-    MultiGraph,
     SimpleGraph,
     edges_within,
     gen_configuration,
@@ -37,9 +35,7 @@ __all__ = [
     "wilson_interval",
     "run_decomposition_trials",
     "empirical_P_Mr",
-    "subgraph_density_extremes",
     "curve_points",
-    "emit_curves",
 ]
 
 REPORT_SCHEMA = 1
@@ -134,13 +130,7 @@ def run_decomposition_trials(
     """
     if a_mode not in ("random", "fixed"):
         raise ValueError("a_mode must be 'random' or 'fixed'")
-    if (N * d) % (2 * k) != 0:
-        raise ValueError(f"Nd/(2k) = {N * d}/{2 * k} must be an integer")
-    s = d // (2 * k)
-    r = d - 2 * s * k
-    if (N * r) % (2 * k) != 0:
-        raise ValueError(f"|A| = N*r/(2k) = {N * r}/{2 * k} must be an integer")
-    a_size = N * r // (2 * k)
+    _, a_size = _star_counts(N, d, k)
 
     records = []
     successes = 0
@@ -149,7 +139,7 @@ def run_decomposition_trials(
         sub = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
         G = _sample_graph(N, d, sub, sampler)
         if a_mode == "fixed":
-            A = frozenset(range(a_size))
+            A = None
         else:
             rng = np.random.default_rng([seed, trial, 1])
             A = frozenset(int(v) for v in rng.choice(N, size=a_size, replace=False))
@@ -191,7 +181,7 @@ def empirical_P_Mr(
     Returns (estimate, standard error).  Exchangeability makes the fixed
     choice of U irrelevant.
     """
-    SubgraphCount(N, d, M, inside) if inside >= 0 else None  # feasibility check
+    SubgraphCount(N, d, M, inside)  # feasibility check
     U = frozenset(range(M))
     hits = 0
     for trial in range(trials):
@@ -199,41 +189,6 @@ def empirical_P_Mr(
         hits += edges_within(G, U) == inside
     p = hits / trials
     return p, math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
-
-
-def subgraph_density_extremes(
-    G: SimpleGraph | MultiGraph,
-    max_size: int,
-    mode: str = "auto",
-    samples: int = 2000,
-    seed: int = 0,
-) -> list[dict]:
-    """Per subset size m <= max_size, the maximum average degree 2e[U]/|U|.
-
-    Exact enumeration for N <= 24 (or mode="exact"); otherwise a sampled
-    lower bound, flagged in the output.
-    """
-    if mode == "auto":
-        mode = "exact" if G.N <= 24 else "sampled"
-    out = []
-    rng = np.random.default_rng(seed)
-    for m in range(1, max_size + 1):
-        best, best_set = -1.0, None
-        if mode == "exact":
-            for U in combinations(range(G.N), m):
-                val = 2.0 * edges_within(G, U) / m
-                if val > best:
-                    best, best_set = val, U
-        else:
-            for _ in range(samples):
-                U = tuple(int(v) for v in rng.choice(G.N, size=m, replace=False))
-                val = 2.0 * edges_within(G, U) / m
-                if val > best:
-                    best, best_set = val, U
-        out.append(
-            {"size": m, "max_avg_degree": best, "argmax": sorted(best_set), "mode": mode}
-        )
-    return out
 
 
 def curve_points(kind: str, params: dict) -> list[tuple[float, float]]:
@@ -249,11 +204,7 @@ def curve_points(kind: str, params: dict) -> list[tuple[float, float]]:
         return list(zip(bs.tolist(), np.atleast_1d(conditions.gamma_beta(bs)).tolist()))
     if kind == "quarter-case":
         bs = np.linspace(1e-9, 1.0 - 1e-9, n)
-        from .numerics import entropy_H, rate_F
-
-        t = (1.0 + 2.0 * bs) / (2.0 + bs)
-        vals = np.asarray(rate_F(bs, t)) / np.asarray(entropy_H(bs))
-        return list(zip(bs.tolist(), vals.tolist()))
+        return list(zip(bs.tolist(), conditions.quarter_case_ratio(bs).tolist()))
     if kind == "weak-bound":
         p = star_params(int(params["d"]), int(params["k"]))
         cert = weak_certificate(
@@ -264,12 +215,3 @@ def curve_points(kind: str, params: dict) -> list[tuple[float, float]]:
         )
         return list(cert.case1_curve) + list(cert.case2_curve)
     raise ValueError(f"unknown curve kind {kind!r}")
-
-
-def emit_curves(kind: str, params: dict, path: str | Path) -> None:
-    """Write ``curve_points(kind, params)`` to ``path`` as CSV with an x,value header."""
-    rows = curve_points(kind, params)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        writer.writerows(rows)

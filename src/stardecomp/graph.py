@@ -7,8 +7,8 @@ a loop is a single edge contributing 2 to its vertex's degree.  A
 whose index order defines the edge ids used everywhere downstream.
 
 Randomness is reproducible: generators take a 64-bit seed, and per-trial
-sub-seeds are derived as (seed, trial) seed sequences so that serial and
-parallel runs agree.
+sub-seeds are derived as (seed, trial) seed sequences, so any one trial can
+be replayed on its own.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "reject_to_simple",
     "sample_simple",
     "edges_within",
-    "edges_between",
     "enumerate_pairings",
     "read_graph",
     "write_graph",
@@ -247,12 +246,6 @@ def edges_within(G: MultiGraph | SimpleGraph, U) -> int:
     """Number of edges with both endpoints in U (a loop at u in U counts once)."""
     U = _check_vertex_set(G.N, U)
     return sum(1 for u, v in G.edges if u in U and v in U)
-
-
-def edges_between(G: MultiGraph | SimpleGraph, U) -> int:
-    """Number of edges with exactly one endpoint in U."""
-    U = _check_vertex_set(G.N, U)
-    return sum(1 for u, v in G.edges if (u in U) != (v in U))
 
 
 _ENUM_CAP = 12

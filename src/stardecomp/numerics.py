@@ -26,20 +26,17 @@ import numpy as np
 __all__ = [
     "DomainError",
     "InfeasibleError",
-    "DensityPoint",
     "SubgraphCount",
     "entropy_h",
     "entropy_H",
     "rate_F",
     "rate_F_dt",
     "rate_Fd",
-    "phi",
     "F_upper_estimate",
     "F_main_term_bound",
     "g_alpha",
     "exact_P_Mr",
     "Z_upper",
-    "eps_for_avg_degree",
     "log_factorial",
     "log_double_factorial",
 ]
@@ -67,7 +64,7 @@ def _maybe_scalar(out: np.ndarray, *inputs):
 
 
 def _check_unit(x: np.ndarray, name: str) -> None:
-    if np.any(x < -_EPS) or np.any(x > 1 + _EPS):
+    if ((x < -_EPS) | (x > 1 + _EPS)).any():  # NaN passes, as it compares False
         raise DomainError(f"{name} must lie in [0, 1]")
 
 
@@ -96,32 +93,6 @@ def entropy_H(x):
     xa = _as_array(x)
     _check_unit(xa, "x")
     return _maybe_scalar(_H(xa), x)
-
-
-@dataclass(frozen=True)
-class DensityPoint:
-    """A (subset density, normalized average degree) pair.
-
-    ``x`` is |U|/N and ``t`` is the average degree of the induced subgraph
-    divided by d.  The point is feasible when (2-t)x <= 1: a density-x set
-    cannot send more half-edges outward than exist outside.
-    """
-
-    x: float
-    t: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0):
-            raise DomainError("density x must lie in [0, 1]")
-        if not (0.0 <= self.t <= 1.0):
-            raise DomainError("normalized degree t must lie in [0, 1]")
-
-    @property
-    def feasible(self) -> bool:
-        return (2.0 - self.t) * self.x <= 1.0 + _EPS
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.t)
 
 
 def _check_feasible(x: np.ndarray, t: np.ndarray) -> None:
@@ -178,13 +149,13 @@ def rate_Fd(x, t, d):
     return _maybe_scalar(val, x, t)
 
 
-def phi(z):
-    """1 - z + log z; negative and increasing on (0, 1), phi(1) = 0."""
-    za = _as_array(z)
-    if np.any(za <= 0.0):
-        raise DomainError("phi requires z > 0")
-    val = 1.0 - za + np.log(za)
-    return _maybe_scalar(val, z)
+def _main_term(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x*t*phi(x/t)/2 with phi(z) = 1 - z + log z, and 0 at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(t > 0, x / np.where(t > 0, t, 1.0), 1.0)
+        return np.where(
+            x > 0, 0.5 * x * t * (1.0 - ratio + np.log(np.where(ratio > 0, ratio, 1.0))), 0.0
+        )
 
 
 def F_upper_estimate(x, t):
@@ -195,34 +166,26 @@ def F_upper_estimate(x, t):
     if np.any(ta > 1 + _EPS) or np.any(ta < xa - _EPS):
         raise DomainError("F_upper_estimate requires x <= t <= 1")
     xa = np.clip(xa, 0.0, 0.6)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(ta > 0, xa / np.where(ta > 0, ta, 1.0), 1.0)
-        main = np.where(
-            xa > 0, 0.5 * xa * ta * (1.0 - ratio + np.log(np.where(ratio > 0, ratio, 1.0))), 0.0
-        )
     rest = (
         xa**2 * ta
         - 0.5 * xa * ta**2
         - (1.0 / 6.0) * xa * ta**3
         + 0.25 * (1.0 - (2.0 - ta) ** 3 / 3.0) * xa**3
     )
-    return _maybe_scalar(main + rest, x, t)
+    return _maybe_scalar(_main_term(xa, ta) + rest, x, t)
 
 
 def F_main_term_bound(x, t):
-    """Main-term bound x*t*phi(x/t)/2 for F; valid on x<=0.2, t>=2x/(1+x)."""
+    """Main-term bound x*t*(1 - x/t + log(x/t))/2 for F.
+
+    Valid on x <= 0.2, t >= 2x/(1+x).
+    """
     xa, ta = _as_array(x), _as_array(t)
     if np.any(xa < -_EPS) or np.any(xa > 0.2 + _EPS):
         raise DomainError("F_main_term_bound requires 0 <= x <= 0.2")
     if np.any(ta < 2.0 * xa / (1.0 + xa) - _EPS):
         raise DomainError("F_main_term_bound requires t >= 2x/(1+x)")
-    xa = np.clip(xa, 0.0, 0.2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(ta > 0, xa / np.where(ta > 0, ta, 1.0), 1.0)
-        val = np.where(
-            xa > 0, 0.5 * xa * ta * (1.0 - ratio + np.log(np.where(ratio > 0, ratio, 1.0))), 0.0
-        )
-    return _maybe_scalar(val, x, t)
+    return _maybe_scalar(_main_term(np.clip(xa, 0.0, 0.2), ta), x, t)
 
 
 def g_alpha(alpha, x):
@@ -342,18 +305,3 @@ def Z_upper(c: SubgraphCount) -> float:
     r = c.inside_average_degree
     log_b = M * (2.0 * d + d * math.log(d) + (r / 2.0 - 1.0) * (math.log(M / N) - 1.0))
     return math.exp(log_b)
-
-
-def eps_for_avg_degree(d: int, dhat: float) -> float:
-    """A density eps > 0 with e^{2d} d^d (eps/e)^{dhat/2-1} < 1/2.
-
-    Solves the equality for eps and halves the result, so the strict
-    inequality holds with margin.
-    """
-    if d < 3:
-        raise DomainError("need d >= 3")
-    if dhat <= 2:
-        raise DomainError("need dhat > 2")
-    expo = dhat / 2.0 - 1.0
-    log_eps = 1.0 + (-math.log(2.0) - 2.0 * d - d * math.log(d)) / expo
-    return 0.5 * math.exp(log_eps)

@@ -31,8 +31,10 @@ class TestRouting:
         assert code == 2
         code, _, _ = run(capsys, ["strong"])  # missing required flags
         assert code == 2
-        # --threads belongs to ksc alone
+        # no subcommand takes --threads
         code, _, _ = run(capsys, ["strong", "--d", "20", "--k", "6", "--threads", "2"])
+        assert code == 2
+        code, _, _ = run(capsys, ["ksc", "--d", "16", "--threads", "2"])
         assert code == 2
 
     def test_domain_error_exit_1(self, capsys):
@@ -71,6 +73,19 @@ class TestGenDecomposeVerify:
                                     "--decomposition", dec])
         assert code == 1
         assert "invalid" in out
+
+    def test_default_A_is_first_vertices(self, tmp_path, capsys):
+        # d = 10, k = 3: s = 1, r = 4, so A is the first 60*4/6 = 40 vertices
+        g = str(tmp_path / "g.txt")
+        a = str(tmp_path / "a.txt")
+        dispatch(["gen", "--n", "60", "--d", "10", "--seed", "4", "-o", g])
+        open(a, "w").write("".join(f"{v}\n" for v in range(1, 41)))
+        code, default, _ = run(capsys, ["decompose", "--graph", g, "--k", "3"])
+        assert code == 0
+        code, explicit, _ = run(capsys, ["decompose", "--graph", g, "--k", "3", "--A", a])
+        assert code == 0
+        assert default == explicit
+        assert sum(1 for line in default.splitlines() if line.startswith("1:")) == 2
 
     def test_decompose_witness_exit_1(self, tmp_path, capsys):
         # C6 with k=3 and the single star forced onto vertex 1
@@ -112,7 +127,7 @@ class TestConditionCommands:
         assert payload["holds"] and payload["margin"] < 0
 
     def test_ksc_single(self, capsys):
-        code, out, _ = run(capsys, ["ksc", "--d", "16", "--threads", "1"])
+        code, out, _ = run(capsys, ["ksc", "--d", "16"])
         assert code == 0
         assert out.strip() == "16\t4"
 

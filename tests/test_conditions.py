@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from stardecomp.conditions import (
     C0,
     DegenerateError,
-    ProfilePoint,
     NoGapError,
     RegimeError,
     bound_case1,
@@ -99,8 +98,11 @@ class TestThresholdTable:
         assert k_sc(30).k_sc == 10
 
     def test_full_scan_agrees(self):
+        # k_sc stops at the first hit scanning down; no larger k may hold
         for d in range(13, 40):
-            assert k_sc(d).k_sc == k_sc(d, full_scan=True).k_sc
+            for k in range(k_sc(d).k_sc + 1, k_sc_max_k(d) + 1):
+                assert d % (2 * k) != 0
+                assert not strong_condition(star_params(d, k)).holds
 
 
 class TestGamma:
@@ -151,17 +153,6 @@ class TestEta:
     def test_eta_zero_profile_limit(self):
         p = star_params(99, 48)
         assert eta(0.0, 1e-9, p) == pytest.approx(0.0, abs=1e-6)
-
-    def test_profile_point_region(self):
-        p = star_params(99, 48)
-        pt = ProfilePoint(0.001, 0.01)
-        assert pt.x == pytest.approx(0.011)
-        assert pt.in_region(p, 0.002, 0.96)
-        assert not pt.in_region(p, 0.05, 0.96)  # below the window
-        # slope constraint: x1/x2 must not exceed alpha1/alpha2
-        assert not ProfilePoint(0.9, 0.001).in_region(p, 0.002, 0.96)
-        with pytest.raises(DomainError):
-            ProfilePoint(0.0, 0.5).validate(p)  # x2 > alpha2
 
     def test_eta_negative_inside_window(self):
         p = star_params(99, 48)

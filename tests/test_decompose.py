@@ -15,7 +15,6 @@ from stardecomp.decompose import (
     brute_force_condition,
     check_condition_U,
     decompose,
-    orient_with_outdegree_bounds,
     orient_with_outdegrees,
     read_decomposition,
     stars_from_orientation,
@@ -50,6 +49,13 @@ class TestProfiles:
         # d = 3, k = 2: s = 0, r = 3, so A carries one star each
         assert p.j_of == (1, 1, 1, 1, 1, 1, 0, 0)
         assert p.total_quota() == 12  # = Nd/2
+
+    def test_balanced_profile_default_A(self):
+        # A=None takes the first N*r/(2k) vertices
+        for N, d, k in [(8, 3, 2), (60, 10, 3), (10, 4, 2), (12, 3, 1), (20, 5, 1)]:
+            r = d % (2 * k)
+            want = balanced_profile(N, d, k, A=range(N * r // (2 * k)))
+            assert balanced_profile(N, d, k) == want
 
     def test_balanced_profile_r0(self):
         p = balanced_profile(10, 4, 2, A=frozenset())
@@ -130,16 +136,6 @@ class TestDecompose:
         ok, why = verify_decomposition(G, 1, prof, result)
         assert ok, why
 
-    def test_bounded_orientation(self):
-        G = cycle_graph(4)
-        prof = StarProfile(k=2, j_of=(1, 1, 1, 1))  # quota 8 >= 4 edges
-        result = orient_with_outdegree_bounds(G, prof)
-        assert not isinstance(result, Witness)
-        out = [0] * G.N
-        for tail in result.tails:
-            out[tail] += 1
-        assert all(out[v] <= prof.quota(v) for v in range(G.N))
-
 
 class TestAgreementWithBruteForce:
     @given(st.integers(0, 60))
@@ -163,15 +159,13 @@ class TestAgreementWithBruteForce:
         d=st.integers(2, 5),
         k=st.integers(1, 3),
         moves=st.integers(0, 6),
-        extra=st.integers(0, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_both_modes_match_subset_condition(self, N, d, k, moves, extra, seed):
-        # Exact mode on a profile with total quota m (the m/k stars dealt out
-        # evenly, then `moves` of them moved at random), bounds mode on the
-        # same profile plus `extra` stars: each is feasible iff no subset U
-        # has e[U] above its quota, and an infeasible answer carries such a U.
+    def test_orientation_matches_subset_condition(self, N, d, k, moves, seed):
+        # A profile with total quota m (the m/k stars dealt out evenly, then
+        # `moves` of them moved at random) is feasible iff no subset U has
+        # e[U] above its quota, and an infeasible answer carries such a U.
         assume(d < N and N * d % 2 == 0)
         G = sample_simple(N, d, seed=seed)
         m = len(G.edges)
@@ -183,29 +177,20 @@ class TestAgreementWithBruteForce:
             if j[a]:
                 j[a] -= 1
                 j[b] += 1
-        exact = StarProfile(k=k, j_of=tuple(int(x) for x in j))
-        j += np.bincount(rng.integers(0, N, size=extra), minlength=N)
-        bounds = StarProfile(k=k, j_of=tuple(int(x) for x in j))
-        for orient, prof in (
-            (orient_with_outdegrees, exact),
-            (orient_with_outdegree_bounds, bounds),
-        ):
-            result = orient(G, prof)
-            brute = brute_force_condition(G, prof)
-            assert isinstance(result, Witness) == (brute is not True)
-            if isinstance(result, Witness):
-                assert edges_within(G, result.U) == result.lhs
-                assert sum(prof.quota(v) for v in result.U) == result.rhs
-                assert result.lhs > result.rhs
-                continue
-            out = [0] * N
-            for (u, v), tail in zip(G.edges, result.tails):
-                assert tail in (u, v)
-                out[tail] += 1
-            if orient is orient_with_outdegrees:
-                assert out == [prof.quota(v) for v in range(N)]
-            else:
-                assert all(out[v] <= prof.quota(v) for v in range(N))
+        prof = StarProfile(k=k, j_of=tuple(int(x) for x in j))
+        result = orient_with_outdegrees(G, prof)
+        brute = brute_force_condition(G, prof)
+        assert isinstance(result, Witness) == (brute is not True)
+        if isinstance(result, Witness):
+            assert edges_within(G, result.U) == result.lhs
+            assert sum(prof.quota(v) for v in result.U) == result.rhs
+            assert result.lhs > result.rhs
+            return
+        out = [0] * N
+        for (u, v), tail in zip(G.edges, result.tails):
+            assert tail in (u, v)
+            out[tail] += 1
+        assert out == [prof.quota(v) for v in range(N)]
 
     def test_witness_is_lexicographically_first(self):
         G = cycle_graph(5)

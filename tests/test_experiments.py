@@ -1,20 +1,17 @@
 """Monte Carlo harness: reproducibility, statistics, reports, curves."""
 
-import csv
 import json
 import math
 
 import pytest
 
 from stardecomp.experiments import (
-    emit_curves,
+    curve_points,
     empirical_P_Mr,
     run_decomposition_trials,
-    subgraph_density_extremes,
     wilson_interval,
 )
-from stardecomp.graph import complete_graph, sample_simple
-from stardecomp.numerics import SubgraphCount, exact_P_Mr
+from stardecomp.numerics import InfeasibleError, SubgraphCount, exact_P_Mr
 
 
 class TestWilson:
@@ -89,50 +86,26 @@ class TestEmpiricalProbability:
             4, 3, 2, 1, 100, seed=3
         )
 
-
-class TestDensityExtremes:
-    def test_complete_graph_exact(self):
-        G = complete_graph(6)
-        rows = subgraph_density_extremes(G, max_size=4)
-        for row in rows:
-            m = row["size"]
-            assert row["max_avg_degree"] == pytest.approx(m - 1)
-            assert row["mode"] == "exact"
-
-    def test_sampled_mode_lower_bounds_exact(self):
-        G = sample_simple(14, 3, seed=0)
-        exact = subgraph_density_extremes(G, max_size=3, mode="exact")
-        sampled = subgraph_density_extremes(G, max_size=3, mode="sampled", samples=500)
-        for e, s in zip(exact, sampled):
-            assert s["max_avg_degree"] <= e["max_avg_degree"] + 1e-12
+    def test_infeasible_cells_rejected(self):
+        for inside in (-1, 99):
+            with pytest.raises(InfeasibleError):
+                empirical_P_Mr(6, 3, 3, inside, 50)
 
 
 class TestCurves:
-    def _read(self, path):
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "value"]
-        return [(float(a), float(b)) for a, b in rows[1:]]
-
-    def test_gamma_curve(self, tmp_path):
-        path = tmp_path / "gamma.csv"
-        emit_curves("gamma", {"grid": 200}, path)
-        data = self._read(path)
+    def test_gamma_curve(self):
+        data = curve_points("gamma", {"grid": 200})
         assert len(data) == 200
         assert all(v < 0 for _, v in data)
 
-    def test_quarter_curve(self, tmp_path):
-        path = tmp_path / "q.csv"
-        emit_curves("quarter-case", {"grid": 150}, path)
-        data = self._read(path)
+    def test_quarter_curve(self):
+        data = curve_points("quarter-case", {"grid": 150})
         assert max(v for _, v in data) < -1 / 9
 
-    def test_weak_bound_curve(self, tmp_path):
-        path = tmp_path / "wb.csv"
-        emit_curves("weak-bound", {"d": 23, "k": 8, "grid_step": 1e-3}, path)
-        data = self._read(path)
+    def test_weak_bound_curve(self):
+        data = curve_points("weak-bound", {"d": 23, "k": 8, "grid_step": 1e-3})
         assert max(v for _, v in data) < 0
 
-    def test_unknown_kind(self, tmp_path):
+    def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            emit_curves("nope", {}, tmp_path / "x.csv")
+            curve_points("nope", {})

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stardecomp.graph import edges_within, enumerate_pairings
 from stardecomp.numerics import (
-    DensityPoint,
     DomainError,
     F_main_term_bound,
     F_upper_estimate,
@@ -18,12 +17,10 @@ from stardecomp.numerics import (
     Z_upper,
     entropy_H,
     entropy_h,
-    eps_for_avg_degree,
     exact_P_Mr,
     g_alpha,
     log_double_factorial,
     log_factorial,
-    phi,
     rate_F,
     rate_F_dt,
     rate_Fd,
@@ -72,10 +69,13 @@ class TestEntropy:
         assert entropy_h(xs).shape == (7,)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="x must lie in"):
             entropy_h(1.5)
-        with pytest.raises(DomainError):
-            entropy_H(-0.1)
+        with pytest.raises(DomainError, match="x must lie in"):
+            entropy_H(np.array([0.5, -0.1]))
+        # NaN is passed through, not rejected
+        assert math.isnan(entropy_h(float("nan")))
+        assert np.isnan(entropy_H(np.array([0.5, np.nan]))).tolist() == [False, True]
 
 
 class TestRateF:
@@ -106,8 +106,11 @@ class TestRateF:
             rate_F(0.9, 0.1)
 
     def test_density_point_feasibility(self):
-        assert DensityPoint(0.4, 0.5).feasible
-        assert not DensityPoint(0.9, 0.1).feasible
+        # (x, t) is feasible iff (2-t)x <= 1; the boundary itself is allowed
+        assert rate_F(0.4, 0.5) <= 0
+        assert rate_F(0.5, 0.0) <= 0
+        with pytest.raises(InfeasibleError):
+            rate_F(0.5 + 1e-9, 0.0)
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(7)
@@ -149,12 +152,6 @@ class TestAnalyticBounds:
             est = F_main_term_bound(np.full(100, x), ts)
             exact = rate_F(np.full(100, x), ts)
             assert np.all(est >= exact - 1e-12)
-
-    def test_phi(self):
-        assert phi(1.0) == 0.0
-        assert phi(0.5) < 0
-        with pytest.raises(DomainError):
-            phi(0.0)
 
     def test_domains(self):
         with pytest.raises(DomainError):
@@ -250,13 +247,3 @@ class TestExactProbability:
                     assert lhs <= Z_upper(cell) * (1 + 1e-9), (
                         f"N={N} d={d} M={M} inside={cell.half_edge_pairs_inside}"
                     )
-
-    def test_eps_for_avg_degree(self):
-        for d in (3, 5, 10):
-            for dhat in (2.5, 3.0, 6.0):
-                eps = eps_for_avg_degree(d, dhat)
-                assert eps > 0
-                val = (
-                    2 * d + d * math.log(d) + (dhat / 2 - 1) * (math.log(eps) - 1)
-                )
-                assert val < math.log(0.5)
