@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .graph import GraphError, SimpleGraph, edges_within
 
 __all__ = [
@@ -231,20 +233,23 @@ def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation 
 def stars_from_orientation(
     G: SimpleGraph, orientation: Orientation, profile: StarProfile
 ) -> StarDecomposition:
-    """Group each vertex's outgoing edges (ascending edge id) into k-stars."""
-    k, j_of = profile.k, profile.j_of
-    out: list[list[int]] = [[] for _ in range(G.N)]
-    for eid, tail in enumerate(orientation.tails):
-        out[tail].append(eid)  # eid increases, so each list is ascending
-    stars = []
-    for v, ids in enumerate(out):
-        if len(ids) != j_of[v] * k:
-            raise ProfileError(
-                f"vertex {v} has out-degree {len(ids)}, profile demands {j_of[v] * k}"
-            )
-        for i in range(0, len(ids), k):
-            stars.append(Star(center=v, edge_ids=tuple(ids[i : i + k])))
-    return StarDecomposition(stars=tuple(stars))
+    """Group each vertex's outgoing edges (ascending edge id) into k-stars.
+
+    Stars come in ascending center order.
+    """
+    k = profile.k
+    tails = np.asarray(orientation.tails, dtype=np.int64)
+    quota = np.asarray(profile.j_of, dtype=np.int64) * k
+    out = np.bincount(tails, minlength=G.N)
+    bad = np.flatnonzero(out != quota)
+    if bad.size:
+        v = int(bad[0])
+        raise ProfileError(f"vertex {v} has out-degree {out[v]}, profile demands {quota[v]}")
+    # A stable sort lists each vertex's edges in ascending id, and every
+    # out-degree is a multiple of k, so the k-blocks never straddle vertices.
+    blocks = np.argsort(tails, kind="stable").reshape(-1, k)
+    centers = tails[blocks[:, 0]].tolist()
+    return StarDecomposition(stars=tuple(map(Star, centers, map(tuple, blocks.tolist()))))
 
 
 def decompose(G: SimpleGraph, k: int, profile: StarProfile) -> StarDecomposition | Witness:

@@ -6,9 +6,10 @@ a loop is a single edge contributing 2 to its vertex's degree.  A
 ``SimpleGraph`` is the loop/multi-edge-free case with an explicit edge list
 whose index order defines the edge ids used everywhere downstream.
 
-Randomness is reproducible: generators take a 64-bit seed, and per-trial
-sub-seeds are derived as (seed, trial) seed sequences, so any one trial can
-be replayed on its own.
+Randomness is reproducible: every sampler builds one numpy generator from
+its seed, so a seed always gives the same graph.  The samplers work on
+arrays: ``reject_to_simple`` tests whole batches of pairings at once, and
+``sample_simple`` handles each shuffle round of its stubs in one pass.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ class MultiGraph:
         return deg
 
 
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``key`` equal to an earlier entry."""
+    order = np.argsort(key, kind="stable")  # list order within each run of equal keys
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeat
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Simple d-regular graph; edge ids are list positions."""
@@ -104,19 +113,27 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]  # (u, v) with u < v
 
     def __post_init__(self):
-        deg = [0] * self.N
-        seen = set()
-        for u, v in self.edges:
+        edges = self.edges
+        try:
+            sizes = set(map(len, edges))
+            ends = np.array([x for e in edges for x in e], dtype=None if edges else np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError("edges must be pairs of 64-bit integers") from exc
+        if sizes - {2} or ends.dtype.kind not in "iu":  # floats, strings: never cast
+            raise GraphError("edges must be pairs of 64-bit integers")
+        u, v = ends[0::2], ends[1::2]
+        bad = (u < 0) | (u >= v) | (v >= self.N)
+        bad |= _repeats(u * self.N + v)
+        if bad.any():
+            u, v = edges[int(bad.argmax())]
             if not (0 <= u < v < self.N):
                 raise GraphError(f"bad edge ({u}, {v}): need 0 <= u < v < N")
-            if (u, v) in seen:
-                raise GraphError(f"parallel edge ({u}, {v})")
-            seen.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-        for v, dv in enumerate(deg):
-            if dv != self.d:
-                raise GraphError(f"vertex {v} has degree {dv}, expected {self.d}")
+            raise GraphError(f"parallel edge ({u}, {v})")
+        deg = np.bincount(ends, minlength=max(self.N, 0))
+        wrong = np.flatnonzero(deg != self.d)
+        if wrong.size:
+            v = int(wrong[0])
+            raise GraphError(f"vertex {v} has degree {deg[v]}, expected {self.d}")
 
     def incident_edges(self) -> list[list[int]]:
         inc = [[] for _ in range(self.N)]
@@ -133,26 +150,29 @@ def _check_vertex_set(N: int, U) -> frozenset:
     return U
 
 
-def _draw_pairs(N: int, d: int, seed) -> np.ndarray:
-    """Half-edge pairs of a uniform random pairing, one (N*d/2, 2) row each.
+def _draw_pairs(N: int, d: int, rng: np.random.Generator, tries: int = 1) -> np.ndarray:
+    """Half-edge ids of ``tries`` uniform random pairings, one row per try.
 
-    The single place the pairing stream is drawn, so ``gen_configuration``
-    and ``reject_to_simple`` see the same pairing for the same seed.
+    Row t is the t-th successive ``rng.permutation(N*d)``; consecutive
+    entries are paired.  The single place the pairing stream is drawn: from
+    a fresh ``default_rng(seed)``, ``gen_configuration`` takes try 0 and
+    ``reject_to_simple`` takes successive tries in batches of rows.
     """
-    return np.random.default_rng(seed).permutation(N * d).reshape(-1, 2)
+    return rng.permuted(np.tile(np.arange(N * d), (tries, 1)), axis=1)
 
 
 def gen_configuration(N: int, d: int, seed) -> MultiGraph:
     """Uniform random pairing of N*d half-edges, deterministic given seed.
 
     ``seed`` is anything ``numpy.random.default_rng`` accepts; callers that
-    need per-trial sub-seeds pass ``[seed, trial]``.
+    need per-trial sub-seeds pass ``[seed, trial]``.  The pairing is try 0
+    of ``reject_to_simple(N, d, seed)``.
     """
     if d < 1 or N < 1:
         raise GraphError("need N >= 1 and d >= 1")
     if (N * d) % 2 != 0:
         raise ParityError("N*d must be even")
-    pairs = _draw_pairs(N, d, seed)
+    pairs = _draw_pairs(N, d, np.random.default_rng(seed)).reshape(-1, 2)
     pairs.sort(axis=1)
     return MultiGraph(N=N, d=d, pairing=tuple(map(tuple, pairs.tolist())))
 
@@ -172,73 +192,84 @@ def multigraph_to_simple(G: MultiGraph) -> SimpleGraph:
     return SimpleGraph(N=G.N, d=G.d, edges=tuple(sorted(G.edges)))
 
 
-def reject_to_simple(N: int, d: int, seed: int, max_tries: int = 10_000) -> SimpleGraph:
-    """Uniform simple d-regular graph via rejection from the pairing model.
-
-    Try t draws the same pairing as ``gen_configuration(N, d, [seed, t])``
-    and the first simple one is returned, so the result is exactly uniform
-    over labelled simple d-regular graphs.  Draws are tested as arrays; no
-    ``MultiGraph`` is built.  The acceptance probability decays like
-    exp(-(d^2-1)/4), so the Monte Carlo trials use ``sample_simple`` for
-    d above 5.
-    """
+def _check_simple_params(N: int, d: int) -> None:
     if d < 1 or N <= d:
         raise GraphError("need N > d >= 1 for a simple d-regular graph")
     if (N * d) % 2 != 0:
         raise ParityError("N*d must be even")
-    for trial in range(max_tries):
-        ends = _draw_pairs(N, d, [seed, trial]) // d
-        ends.sort(axis=1)
-        u, v = ends[:, 0], ends[:, 1]
-        if (u == v).any():
-            continue  # loop
-        key = u * N + v
-        key.sort()
-        if (key[1:] == key[:-1]).any():
-            continue  # parallel edge
-        return SimpleGraph(N=N, d=d, edges=tuple(zip((key // N).tolist(), (key % N).tolist())))
+
+
+def _from_keys(N: int, d: int, key: np.ndarray) -> SimpleGraph:
+    """The graph whose edges (u, v), u < v, are the sorted keys u*N + v."""
+    return SimpleGraph(N=N, d=d, edges=tuple(zip((key // N).tolist(), (key % N).tolist())))
+
+
+_BATCH_ELEMENTS = 1 << 12  # half-edges per batch of tries: 32 kB per array
+
+
+def reject_to_simple(N: int, d: int, seed: int, max_tries: int = 10_000) -> SimpleGraph:
+    """Uniform simple d-regular graph via rejection from the pairing model.
+
+    One generator ``default_rng(seed)`` is built per call.  Try t is its
+    t-th successive ``permutation(N*d)``, paired as consecutive half-edges,
+    so try 0 is ``gen_configuration(N, d, seed)``; the first simple try is
+    returned.  Tries are drawn in batches of rows that hold the same
+    permutations, so the batch size never changes the graph a seed gives.
+    Each try is an independent uniform pairing, so the result is exactly
+    uniform over labelled simple d-regular graphs.  The acceptance
+    probability decays like exp(-(d^2-1)/4), so the Monte Carlo trials use
+    ``sample_simple`` for d above 5.
+    """
+    _check_simple_params(N, d)
+    rng = np.random.default_rng(seed)
+    batch, done = 8, 0
+    while done < max_tries:
+        b = min(batch, max_tries - done, max(1, _BATCH_ELEMENTS // (N * d)))
+        ends = _draw_pairs(N, d, rng, b) // d  # vertex ends, one try per row
+        u, v = ends[:, 0::2], ends[:, 1::2]
+        key = np.minimum(u, v) * N + np.maximum(u, v)
+        key.sort(axis=1)
+        loop_or_parallel = (u == v).any(axis=1) | (key[:, 1:] == key[:, :-1]).any(axis=1)
+        simple = np.flatnonzero(~loop_or_parallel)
+        if simple.size:
+            return _from_keys(N, d, key[simple[0]])
+        done += b
+        batch *= 2
     raise ExhaustionError(max_tries)
 
 
 def sample_simple(N: int, d: int, seed: int, max_restarts: int = 1_000) -> SimpleGraph:
     """Simple d-regular graph via stub matching with restart on collisions.
 
-    Pairs random stubs, skipping pairs that would create a loop or parallel
-    edge, and restarts when stuck.  Unlike ``reject_to_simple`` it stays
-    practical when the rejection route would essentially never accept, but
-    its law is not uniform: at N=6, d=3, seeds 0..19 999 gave K_{3,3} with
-    frequency 0.1535 against the uniform 1/7 = 0.1429 (about 4.3 sigma).
+    Each round shuffles the unmatched stubs and pairs them in order.  A pair
+    is kept unless it is a loop, an edge already kept, or a repeat of an
+    earlier pair of the round; the rest go to the next round.  A round that
+    keeps nothing restarts from all stubs.  Unlike ``reject_to_simple`` it
+    stays practical when the rejection route would essentially never
+    accept, but its law is not uniform: at N=6, d=3, seeds 0..19 999 gave
+    K_{3,3} with frequency 0.1535 against the uniform 1/7 = 0.1429 (about
+    4.3 sigma).
     """
-    if N <= d:
-        raise GraphError("need N > d for a simple d-regular graph")
-    if (N * d) % 2 != 0:
-        raise ParityError("N*d must be even")
+    _check_simple_params(N, d)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     for _ in range(max_restarts):
         stubs = np.repeat(np.arange(N), d)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        while len(stubs) and ok:
+        kept = np.empty(0, dtype=np.int64)  # sorted keys u*N + v of kept edges
+        while stubs.size:
             rng.shuffle(stubs)
-            leftover = []
-            progressed = False
-            it = iter(range(0, len(stubs) - 1, 2))
-            for i in it:
-                u, v = int(stubs[i]), int(stubs[i + 1])
-                if u > v:
-                    u, v = v, u
-                if u == v or (u, v) in edges:
-                    leftover.extend((u, v))
-                else:
-                    edges.add((u, v))
-                    progressed = True
-            if len(stubs) % 2:
-                leftover.append(int(stubs[-1]))
-            if not progressed and leftover:
-                ok = False
-            stubs = np.array(leftover, dtype=int)
-        if ok and not len(stubs):
-            return SimpleGraph(N=N, d=d, edges=tuple(sorted(edges)))
+            pairs = stubs.reshape(-1, 2)
+            pairs.sort(axis=1)
+            key = pairs[:, 0] * N + pairs[:, 1]
+            pos = np.searchsorted(kept, key)
+            known = pos < kept.size
+            known[known] = kept[pos[known]] == key[known]
+            ok = (pairs[:, 0] != pairs[:, 1]) & ~known & ~_repeats(key)
+            if not ok.any():
+                break
+            kept = np.sort(np.concatenate((kept, key[ok])))
+            stubs = pairs[~ok].ravel()
+        else:
+            return _from_keys(N, d, kept)
     raise ExhaustionError(max_restarts)
 
 

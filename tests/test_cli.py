@@ -62,6 +62,15 @@ class TestGenDecomposeVerify:
         dispatch(["gen", "--n", "12", "--d", "3", "--seed", "9", "-o", b])
         assert read_graph(a).edges == read_graph(b).edges
 
+    def test_gen_nonpositive_degree_exit_1(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        for d in ("-2", "-1", "0"):
+            code, _, err = run(capsys, ["gen", "--n", "6", "--d", d, "--sampler", "restart",
+                                        "-o", str(g)])
+            assert code == 1
+            assert "need N > d >= 1" in err
+        assert not g.exists()
+
     def test_verify_rejects_corrupted(self, tmp_path, capsys):
         g = str(tmp_path / "g.txt")
         dec = str(tmp_path / "dec.txt")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stardecomp import graph
 from stardecomp.graph import (
     ExhaustionError,
     FormatError,
@@ -99,11 +100,34 @@ class TestSimpleGraphs:
         with pytest.raises(GraphError):
             sample_simple(4, 5, 0)
 
+    @pytest.mark.parametrize("d", [-2, -1, 0])
+    def test_need_positive_degree(self, d):
+        for sampler in (reject_to_simple, sample_simple):
+            with pytest.raises(GraphError, match=r"need N > d >= 1"):
+                sampler(6, d, 0)
+
     def test_validation(self):
         with pytest.raises(GraphError):
             SimpleGraph(N=3, d=2, edges=((0, 1), (0, 1), (1, 2)))
         with pytest.raises(GraphError):
             SimpleGraph(N=3, d=2, edges=((0, 1), (1, 2)))  # vertex 0 degree 1
+
+    def test_validation_reports_first_offence(self):
+        with pytest.raises(GraphError, match=r"^bad edge \(2, 1\)"):
+            SimpleGraph(N=3, d=2, edges=((0, 1), (2, 1), (0, 1)))
+        with pytest.raises(GraphError, match=r"^parallel edge \(0, 1\)"):
+            SimpleGraph(N=3, d=2, edges=((0, 1), (1, 2), (0, 1), (0, 3)))
+        with pytest.raises(GraphError, match=r"^bad edge \(0, 3\)"):
+            SimpleGraph(N=3, d=2, edges=((0, 1), (0, 3), (0, 1)))
+        with pytest.raises(GraphError, match=r"^vertex 1 has degree 1, expected 2"):
+            SimpleGraph(N=4, d=2, edges=((0, 2), (0, 3), (1, 2)))
+
+    def test_validation_rejects_non_integers(self):
+        for edges in (((0, 1.0), (1, 2), (0, 2)), ((0, 1.5), (1, 2), (0, 2)),
+                      (("0", "1"), (1, 2), (0, 2)), ((0, 1, 2),)):
+            with pytest.raises(GraphError, match="pairs of 64-bit integers"):
+                SimpleGraph(N=3, d=2, edges=edges)
+        assert SimpleGraph(N=3, d=2, edges=((0, 1), (np.int64(1), 2), (0, 2))).N == 3
 
     def test_incident_edges(self):
         G = cycle_graph(4)
@@ -111,11 +135,47 @@ class TestSimpleGraphs:
         assert all(len(lst) == 2 for lst in inc)
 
 
-def _first_simple_configuration(N, d, seed):
-    for t in itertools.count():
-        G = gen_configuration(N, d, [seed, t])
+def _pairings(N, d, seed):
+    """Successive pairings of one generator: the stream of reject_to_simple."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pairs = np.sort(rng.permutation(N * d).reshape(-1, 2), axis=1)
+        yield MultiGraph(N=N, d=d, pairing=tuple(map(tuple, pairs.tolist())))
+
+
+def _first_simple_pairing(N, d, seed):
+    """(index, graph) of the first simple pairing in the stream."""
+    for t, G in enumerate(_pairings(N, d, seed)):
         if is_simple(G):
-            return multigraph_to_simple(G)
+            return t, multigraph_to_simple(G)
+
+
+def _stub_loop(N, d, seed, max_restarts=1_000):
+    """sample_simple as a loop over stub pairs; returns (graph, restarts)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    for restart in range(max_restarts):
+        stubs = np.repeat(np.arange(N), d)
+        edges = set()
+        ok = True
+        while len(stubs) and ok:
+            rng.shuffle(stubs)
+            leftover = []
+            progressed = False
+            for i in range(0, len(stubs) - 1, 2):
+                u, v = int(stubs[i]), int(stubs[i + 1])
+                if u > v:
+                    u, v = v, u
+                if u == v or (u, v) in edges:
+                    leftover.extend((u, v))
+                else:
+                    edges.add((u, v))
+                    progressed = True
+            if not progressed and leftover:
+                ok = False
+            stubs = np.array(leftover, dtype=int)
+        if ok:
+            return SimpleGraph(N=N, d=d, edges=tuple(sorted(edges))), restart
+    raise ExhaustionError(max_restarts)
 
 
 def _labelled_cubic_graphs_on_6():
@@ -131,7 +191,21 @@ class TestRejectionSampler:
     @pytest.mark.parametrize("N, d", [(30, 4), (10, 3), (12, 5), (8, 2)])
     def test_same_stream_as_gen_configuration(self, N, d):
         for seed in range(10):
-            assert reject_to_simple(N, d, seed) == _first_simple_configuration(N, d, seed)
+            assert next(_pairings(N, d, seed)) == gen_configuration(N, d, seed)  # try 0
+            assert reject_to_simple(N, d, seed) == _first_simple_pairing(N, d, seed)[1]
+
+    def test_batching_does_not_change_the_graph(self, monkeypatch):
+        for seed in range(10):
+            t, G = _first_simple_pairing(30, 4, seed)
+            assert t >= 1
+            for max_tries in (t + 1, t + 2, t + 9, 2 * t + 17, 10_000):
+                assert reject_to_simple(30, 4, seed, max_tries=max_tries) == G
+            with pytest.raises(ExhaustionError):
+                reject_to_simple(30, 4, seed, max_tries=t)
+            for cap in (1, 200, 10**7):  # one try per batch, a few, no cap
+                monkeypatch.setattr(graph, "_BATCH_ELEMENTS", cap)
+                assert reject_to_simple(30, 4, seed) == G
+            monkeypatch.undo()
 
     def test_parity(self):
         with pytest.raises(ParityError):
@@ -143,7 +217,7 @@ class TestRejectionSampler:
 
     def test_exhaustion(self):
         # K6 is the only simple 5-regular graph on 6 vertices: rarely drawn.
-        assert not any(is_simple(gen_configuration(6, 5, [0, t])) for t in range(3))
+        assert not any(is_simple(G) for G in itertools.islice(_pairings(6, 5, 0), 3))
         with pytest.raises(ExhaustionError) as info:
             reject_to_simple(6, 5, 0, max_tries=3)
         assert info.value.attempts == 3
@@ -164,6 +238,28 @@ class TestRejectionSampler:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert min(counts.values()) > 0
         assert chi2 < 111.06, chi2
+
+
+class TestStubMatching:
+    def test_same_graphs_as_the_stub_loop(self):
+        cases = restarted = 0
+        for d in (3, 4, 10, 13):
+            for N in range(d + 1, d + 26):
+                if (N * d) % 2:
+                    continue
+                for seed in range(14):
+                    G, restarts = _stub_loop(N, d, seed)
+                    assert sample_simple(N, d, seed) == G, (N, d, seed)
+                    cases += 1
+                    restarted += restarts > 0
+        assert cases >= 1_000
+        assert restarted >= 100
+
+    def test_exhaustion(self):
+        # K6 is the only simple 5-regular graph on 6 vertices.
+        with pytest.raises(ExhaustionError) as info:
+            sample_simple(6, 5, 0, max_restarts=1)
+        assert info.value.attempts == 1
 
 
 def _cut_edges(G, U) -> int:
