@@ -5,7 +5,8 @@ Modules:
 - ``numerics``: entropy rate functions and exact pairing-model probabilities
 - ``conditions``: strong/weak decomposition conditions and threshold tables
 - ``graph``: regular-graph representations and configuration-model samplers
-- ``decompose``: path-reversal orientation pipeline, verification, subset oracle
+- ``decompose``: orientation pipeline (path reversal, or push-relabel on large
+  graphs), verification, subset oracle
 - ``experiments``: reproducible Monte Carlo harness and certificate curves
 - ``cli``: command-line surface (``stardecomp`` entry point)
 """

@@ -217,15 +217,30 @@ class TestDataCommands:
         importlib.reload(cli)
 
 
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_m_stardecomp(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "stardecomp", "ksc", "--d-max", "20", "--format", "json"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)["rows"]
         assert [row["d"] for row in rows] == list(range(13, 21))
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is installed alongside numpy but is not a dependency; importing
+        # it would add its load time and memory to every command.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, stardecomp, stardecomp.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=_src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _cubic import all_cubic_graphs
 from stardecomp.decompose import (
+    _ARRAY_MIN_EDGES,
+    Orientation,
     ProfileError,
     Star,
     StarDecomposition,
@@ -20,6 +23,8 @@ from stardecomp.decompose import (
     stars_from_orientation,
     verify_decomposition,
     write_decomposition,
+    _orient_by_paths,
+    _orient_push_relabel,
 )
 from stardecomp.graph import (
     GraphError,
@@ -41,6 +46,74 @@ def _random_profile(rng, N, m, k):
     for v in rng.integers(0, N, size=total):
         j[v] += 1
     return StarProfile(k=k, j_of=tuple(int(x) for x in j))
+
+
+def _assert_answer(G, prof, result, feasible):
+    """A feasible profile gets an orientation meeting every quota, an
+    infeasible one a witness U whose counts are right and violate e[U] <= quota."""
+    assert isinstance(result, Witness) != feasible
+    if isinstance(result, Witness):
+        assert edges_within(G, result.U) == result.lhs
+        assert sum(prof.quota(v) for v in result.U) == result.rhs
+        assert result.lhs > result.rhs
+        return
+    assert result.tails.dtype == np.int64 and not result.tails.flags.writeable
+    out = [0] * G.N
+    for (u, v), tail in zip(G.edges, result.tails):
+        assert tail in (u, v)
+        out[tail] += 1
+    assert out == [prof.quota(v) for v in range(G.N)]
+
+
+def _far_pair_cycle(n):
+    """An n-cycle with permuted labels, k = 1 and one surplus/deficit pair
+    half the cycle apart: the excess must travel ~n/2 arcs."""
+    perm = np.random.default_rng(0).permutation(n)
+    edges = sorted(
+        tuple(sorted((int(perm[i]), int(perm[(i + 1) % n])))) for i in range(n)
+    )
+    G = SimpleGraph(N=n, d=2, edges=tuple(edges))
+    j = [1] * n
+    j[perm[0]], j[perm[n // 2]] = 2, 0
+    return G, StarProfile(k=1, j_of=tuple(j))
+
+
+def _random_cubic_case(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.choice([4, 6, 8]))
+    G = reject_to_simple(N, 3, seed=seed)
+    k = int(rng.choice([2, 3]))
+    return G, k, _random_profile(rng, N, len(G.edges), k)
+
+
+# Hypothesis cases of test_orientation_matches_subset_condition and its
+# push-relabel twin.
+_SUBSET_CASES = dict(
+    N=st.integers(3, 14),
+    d=st.integers(2, 5),
+    k=st.integers(1, 3),
+    moves=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _check_subset_case(orient, N, d, k, moves, seed):
+    # A profile with total quota m (the m/k stars dealt out evenly, then
+    # `moves` of them moved at random) is feasible iff no subset U has
+    # e[U] above its quota, and an infeasible answer carries such a U.
+    assume(d < N and N * d % 2 == 0)
+    G = sample_simple(N, d, seed=seed)
+    m = len(G.edges)
+    assume(m % k == 0)
+    rng = np.random.default_rng(seed)
+    j = np.bincount(rng.permutation(N)[np.arange(m // k) % N], minlength=N)
+    for _ in range(moves):
+        a, b = rng.integers(0, N, size=2)
+        if j[a]:
+            j[a] -= 1
+            j[b] += 1
+    prof = StarProfile(k=k, j_of=tuple(int(x) for x in j))
+    _assert_answer(G, prof, orient(G, prof), brute_force_condition(G, prof) is True)
 
 
 class TestProfiles:
@@ -120,32 +193,30 @@ class TestDecompose:
             decompose(G, 3, StarProfile(k=2, j_of=(1, 1)))
 
     def test_deep_reversal_path(self):
-        # A 6 000-cycle with permuted labels and one surplus/deficit pair
-        # half the cycle apart: the excess must travel ~3 000 arcs.
-        n = 6000
-        perm = np.random.default_rng(0).permutation(n)
-        edges = sorted(
-            tuple(sorted((int(perm[i]), int(perm[(i + 1) % n])))) for i in range(n)
-        )
-        G = SimpleGraph(N=n, d=2, edges=tuple(edges))
-        j = [1] * n
-        j[perm[0]], j[perm[3000]] = 2, 0
-        prof = StarProfile(k=1, j_of=tuple(j))
+        G, prof = _far_pair_cycle(6000)
         result = decompose(G, 1, prof)
         assert isinstance(result, StarDecomposition)
         ok, why = verify_decomposition(G, 1, prof, result)
         assert ok, why
+
+    def test_deep_reversal_path_by_paths(self):
+        # The 6 000-cycle is above the array cutoff, so decompose no longer
+        # takes the path-reversal loop there; call the loop directly.
+        G, prof = _far_pair_cycle(6000)
+        _assert_answer(G, prof, _orient_by_paths(G, prof), True)
+
+    def test_long_cycle_push_relabel(self):
+        # 12 000 BFS levels and push rounds: cheap only if each level and
+        # round touches its own few arcs, not all m of them.
+        G, prof = _far_pair_cycle(24_000)
+        _assert_answer(G, prof, _orient_push_relabel(G, prof), True)
 
 
 class TestAgreementWithBruteForce:
     @given(st.integers(0, 60))
     @settings(max_examples=40, deadline=None)
     def test_random_cubic_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        N = int(rng.choice([4, 6, 8]))
-        G = reject_to_simple(N, 3, seed=seed) if N > 3 else None
-        k = int(rng.choice([2, 3]))
-        prof = _random_profile(rng, N, len(G.edges), k)
+        G, k, prof = _random_cubic_case(seed)
         if prof is None:
             return
         flow = decompose(G, k, prof)
@@ -154,43 +225,41 @@ class TestAgreementWithBruteForce:
         if brute is not True:
             assert brute.lhs > brute.rhs
 
-    @given(
-        N=st.integers(3, 14),
-        d=st.integers(2, 5),
-        k=st.integers(1, 3),
-        moves=st.integers(0, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_random_cubic_instances_push_relabel(self, seed):
+        G, k, prof = _random_cubic_case(seed)
+        if prof is None:
+            return
+        result = _orient_push_relabel(G, prof)
+        _assert_answer(G, prof, result, brute_force_condition(G, prof) is True)
+
+    @given(**_SUBSET_CASES)
     @settings(max_examples=100, deadline=None)
     def test_orientation_matches_subset_condition(self, N, d, k, moves, seed):
-        # A profile with total quota m (the m/k stars dealt out evenly, then
-        # `moves` of them moved at random) is feasible iff no subset U has
-        # e[U] above its quota, and an infeasible answer carries such a U.
-        assume(d < N and N * d % 2 == 0)
-        G = sample_simple(N, d, seed=seed)
-        m = len(G.edges)
-        assume(m % k == 0)
-        rng = np.random.default_rng(seed)
-        j = np.bincount(rng.permutation(N)[np.arange(m // k) % N], minlength=N)
-        for _ in range(moves):
-            a, b = rng.integers(0, N, size=2)
-            if j[a]:
-                j[a] -= 1
-                j[b] += 1
-        prof = StarProfile(k=k, j_of=tuple(int(x) for x in j))
-        result = orient_with_outdegrees(G, prof)
-        brute = brute_force_condition(G, prof)
-        assert isinstance(result, Witness) == (brute is not True)
-        if isinstance(result, Witness):
-            assert edges_within(G, result.U) == result.lhs
-            assert sum(prof.quota(v) for v in result.U) == result.rhs
-            assert result.lhs > result.rhs
-            return
-        out = [0] * N
-        for (u, v), tail in zip(G.edges, result.tails):
-            assert tail in (u, v)
-            out[tail] += 1
-        assert out == [prof.quota(v) for v in range(N)]
+        _check_subset_case(orient_with_outdegrees, N, d, k, moves, seed)
+
+    @given(**_SUBSET_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_orientation_matches_subset_condition_push_relabel(self, N, d, k, moves, seed):
+        _check_subset_case(_orient_push_relabel, N, d, k, moves, seed)
+
+    def test_push_relabel_on_all_cubic_graphs(self):
+        # Criterion 7's exhaustive graph set, against the array routine.
+        rng = np.random.default_rng(7)
+        cases = 0
+        for n in (4, 6, 8, 10):
+            for G in all_cubic_graphs(n):
+                m = len(G.edges)
+                for k in (1, 2, 3):
+                    for _ in range(3):
+                        prof = _random_profile(rng, n, m, k)
+                        if prof is None:
+                            continue
+                        cases += 1
+                        result = _orient_push_relabel(G, prof)
+                        _assert_answer(G, prof, result, brute_force_condition(G, prof) is True)
+        assert cases > 100
 
     def test_witness_is_lexicographically_first(self):
         G = cycle_graph(5)
@@ -204,6 +273,55 @@ class TestAgreementWithBruteForce:
         G = sample_simple(26, 3, seed=0)
         with pytest.raises(GraphError):
             brute_force_condition(G, StarProfile(k=3, j_of=(1,) * 26))
+
+
+def _two_blocks(N, seed):
+    """flow-large's infeasible instance at size N (a multiple of 6): two
+    disjoint 10-regular blocks, A = the first block plus N/6 vertices of the
+    second, so e[block 2] = 5N/2 exceeds its quota 2N."""
+    half = N // 2
+    B1 = sample_simple(half, 10, seed)
+    B2 = sample_simple(half, 10, seed + 1)
+    edges = B1.edges + tuple((u + half, v + half) for u, v in B2.edges)
+    G = SimpleGraph(N=N, d=10, edges=tuple(sorted(edges)))
+    extra = np.random.default_rng(seed).choice(half, size=N // 6, replace=False)
+    A = list(range(half)) + (half + extra).tolist()
+    return G, balanced_profile(N, 10, 3, A)
+
+
+def _same_answer(a, b):
+    if isinstance(a, Orientation) and isinstance(b, Orientation):
+        return np.array_equal(a.tails, b.tails)
+    return a == b
+
+
+class TestCrossover:
+    # 10-regular graphs with k = 3 have m = 5N edges; the two-block instance
+    # needs N divisible by 6.  Below: the largest such N under the cutoff;
+    # above: the next one, and a scaled-down flow-large.
+    N_BELOW = 6 * ((_ARRAY_MIN_EDGES - 1) // 30)
+
+    @staticmethod
+    def _agree(G, prof):
+        """Both routines give the same verdict and valid answers, and
+        orient_with_outdegrees gives exactly the answer of the routine it picks."""
+        by_paths = _orient_by_paths(G, prof)
+        push_relabel = _orient_push_relabel(G, prof)
+        feasible = not isinstance(by_paths, Witness)
+        _assert_answer(G, prof, by_paths, feasible)
+        _assert_answer(G, prof, push_relabel, feasible)
+        picked = push_relabel if len(G.edges) >= _ARRAY_MIN_EDGES else by_paths
+        assert _same_answer(orient_with_outdegrees(G, prof), picked)
+        return feasible
+
+    @pytest.mark.parametrize("N", [N_BELOW, N_BELOW + 6, 2004])
+    def test_routines_agree(self, N):
+        assert 5 * self.N_BELOW < _ARRAY_MIN_EDGES <= 5 * (self.N_BELOW + 6)
+        rng = np.random.default_rng(N)
+        for seed in range(3):
+            A = rng.choice(N, size=2 * N // 3, replace=False).tolist()
+            self._agree(sample_simple(N, 10, seed), balanced_profile(N, 10, 3, A))
+        assert not self._agree(*_two_blocks(N, 0))
 
 
 class TestVerification:
