@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success, 1 = domain infeasibility (a witness or a false
 verdict was found and printed), 2 = usage error.  Every subcommand is
-deterministic given identical flags including --seed; STARDECOMP_SEED is the
-fallback when --seed is absent.
+deterministic given its flags.  Only gen, pmr and trials draw random numbers;
+they take --seed, with STARDECOMP_SEED as the fallback when it is absent.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .decompose import (
 __all__ = ["dispatch", "main"]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("STARDECOMP_SEED", "0"))
-
-
 def _out_stream(args):
     return open(args.output, "w") if getattr(args, "output", None) else sys.stdout
 
@@ -47,8 +43,6 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         elif args.format == "csv":
-            if csv_rows is None:
-                raise SystemExit("csv output is not available for this subcommand")
             fh.write("x,value\n")
             for x, v in csv_rows:
                 fh.write(f"{x},{v}\n")
@@ -255,6 +249,8 @@ def _cmd_bounds_curve(args) -> int:
 def _cmd_pmr(args) -> int:
     if args.inside is None and args.r is None:
         raise SystemExit("pmr requires --inside or --r")
+    if args.trials < 0:
+        raise SystemExit("pmr requires --trials >= 0")
     if args.inside is not None:
         cell = numerics.SubgraphCount(args.n, args.d, args.m, args.inside)
     else:
@@ -277,6 +273,8 @@ def _cmd_pmr(args) -> int:
 
 
 def _cmd_trials(args) -> int:
+    if args.trials < 1:
+        raise SystemExit("trials requires --trials >= 1")
     report = experiments.run_decomposition_trials(
         d=args.d,
         k=args.k,
@@ -312,15 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, *, seeded=False, formats=("text", "json"), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if seeded:  # argparse applies type=int to the string default
+            p.add_argument("--seed", type=int, default=os.environ.get("STARDECOMP_SEED", "0"))
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", "-o", default=None)
         return p
 
-    p = add("gen", _cmd_gen, help="sample a simple d-regular graph")
+    csv = ("text", "json", "csv")
+    p = add("gen", _cmd_gen, seeded=True, formats=(), help="sample a simple d-regular graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sampler", choices=("auto", "reject", "restart"), default="auto")
@@ -351,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("ksc", _cmd_ksc, help="threshold table k_sc(d)")
+    p = add("ksc", _cmd_ksc, formats=csv, help="threshold table k_sc(d)")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=int)
     g.add_argument("--d-max", type=int)
@@ -362,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("quarter-scan", _cmd_quarter_scan, help="scan the s >= 2 reduction curve")
     p.add_argument("--grid", type=int, default=10_000)
 
-    p = add("weak-cert", _cmd_weak_cert, help="build the weak certificate for (d, k)")
+    p = add("weak-cert", _cmd_weak_cert, formats=csv, help="build the weak certificate for (d, k)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid-step", type=float, default=1e-4)
     p.add_argument("--x-minus", type=float, default=None)
     p.add_argument("--x-plus", type=float, default=None)
 
-    p = add("bounds-curve", _cmd_bounds_curve,
+    p = add("bounds-curve", _cmd_bounds_curve, formats=csv,
             help="emit a certificate curve (CSV table unless --format json)")
     p.add_argument("--kind", choices=("gamma", "quarter-case", "weak-bound"), required=True)
     p.add_argument("--d", type=int, default=None)
@@ -379,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-minus", type=float, default=None)
     p.add_argument("--x-plus", type=float, default=None)
 
-    p = add("pmr", _cmd_pmr, help="exact (and optionally empirical) subset probability")
+    p = add("pmr", _cmd_pmr, seeded=True,
+            help="exact (and optionally empirical) subset probability")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -387,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--trials", type=int, default=0)
 
-    p = add("trials", _cmd_trials, help="Monte Carlo decomposition trials")
+    p = add("trials", _cmd_trials, seeded=True, help="Monte Carlo decomposition trials")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

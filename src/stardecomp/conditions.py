@@ -12,23 +12,25 @@ critical density window [x_minus, x_plus] by maximizing explicit one-variable
 upper-bound curves (one per case of the window split at alpha_2 = r/(2k)).
 
 Strict inequalities are decided with a margin: a value must be below -1e-9 to
-count as negative; values inside the band are re-evaluated with 50-digit
-arithmetic before deciding.
+count as negative; values inside the band are re-evaluated in 50-digit
+decimal arithmetic before deciding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .numerics import (
     DomainError,
+    _F,
     _as_array,
     _h,
+    _h_decimal,
     _H,
     _maybe_scalar,
     entropy_H,
@@ -135,21 +137,11 @@ class StrongResult:
     margin: float  # value of F_d(x0, t0); negative means the condition holds
 
 
-def _rate_Fd_mp(x: Fraction, t: Fraction, d: int) -> float:
-    """F_d(x, t) at 50-digit precision from exact rational inputs."""
-    with mpmath.workdps(50):
-        x_, t_ = mpmath.mpf(x.numerator) / x.denominator, mpmath.mpf(t.numerator) / t.denominator
-
-        def h(z):
-            if z <= 0 or z >= 1:
-                return mpmath.mpf(0)
-            return -z * mpmath.log(z)
-
-        def H(z):
-            return h(z) + h(1 - z)
-
-        F = 0.5 * h(t_ * x_) + h((1 - t_) * x_) + 0.5 * h(1 - (2 - t_) * x_) - H(x_)
-        return float(d * F + H(x_))
+def _rate_Fd_decimal(x: Fraction, t: Fraction, d: int) -> float:
+    """F_d(x, t) in 50-digit decimal arithmetic from exact rational inputs."""
+    with localcontext(Context(prec=50)):
+        x_, t_ = (Decimal(q.numerator) / q.denominator for q in (x, t))
+        return float(d * _F(x_, t_, _h_decimal) + _h_decimal(x_) + _h_decimal(1 - x_))
 
 
 def strong_condition(params: StarParams) -> StrongResult:
@@ -162,7 +154,7 @@ def strong_condition(params: StarParams) -> StrongResult:
     t0 = Fraction(params.d - 2 * params.k + params.r, params.d)
     margin = rate_Fd(float(x0), float(t0), params.d)
     if -DECISION_MARGIN <= margin < 0:
-        margin = _rate_Fd_mp(x0, t0, params.d)
+        margin = _rate_Fd_decimal(x0, t0, params.d)
         return StrongResult(holds=margin < 0, margin=margin)
     return StrongResult(holds=margin < -DECISION_MARGIN, margin=margin)
 
@@ -175,7 +167,7 @@ class ThresholdRow:
 
 def k_sc_max_k(d: int) -> int:
     """Largest k in the scan range: k < d/2 - 1 (and k >= 2)."""
-    return (d - 3) // 2 if d % 2 else d // 2 - 2
+    return (d - 3) // 2
 
 
 def k_sc(d: int) -> ThresholdRow:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -77,6 +78,16 @@ def _h(x: np.ndarray) -> np.ndarray:
     return -x * np.log(np.where(x > 0.0, x, 1.0)) + 0.0
 
 
+def _h_decimal(z):
+    """-z ln z for a ``decimal.Decimal`` in the current context; 0 off (0, 1)."""
+    return -z * z.ln() if 0 < z < 1 else Decimal(0)
+
+
+def _F(x, t, h):
+    """F(x, t) over the entropy kernel h: ``_h`` for float arrays, ``_h_decimal`` for decimals."""
+    return h(t * x) / 2 + h((1 - t) * x) + h(1 - (2 - t) * x) / 2 - (h(x) + h(1 - x))
+
+
 def _H(x: np.ndarray) -> np.ndarray:
     return _h(x) + _h(1.0 - x)
 
@@ -110,13 +121,7 @@ def rate_F(x, t):
     _check_unit(xa, "x")
     _check_unit(ta, "t")
     _check_feasible(xa, ta)
-    val = (
-        0.5 * _h(ta * xa)
-        + _h((1.0 - ta) * xa)
-        + 0.5 * _h(1.0 - (2.0 - ta) * xa)
-        - _H(xa)
-    )
-    return _maybe_scalar(val, x, t)
+    return _maybe_scalar(_F(xa, ta, _h), x, t)
 
 
 def rate_F_dt(x, t):

@@ -26,7 +26,7 @@ def run(capsys, argv):
 
 
 class TestRouting:
-    def test_usage_error_exit_2(self, capsys):
+    def test_usage_error_exit_2(self, capsys, monkeypatch):
         code, _, _ = run(capsys, ["no-such-command"])
         assert code == 2
         code, _, _ = run(capsys, ["strong"])  # missing required flags
@@ -36,6 +36,27 @@ class TestRouting:
         assert code == 2
         code, _, _ = run(capsys, ["ksc", "--d", "16", "--threads", "2"])
         assert code == 2
+        # trial counts that cannot give an estimate
+        for fmt in ("text", "json"):
+            code, _, err = run(capsys, ["trials", "--d", "4", "--k", "2", "--n", "10",
+                                        "--trials", "0", "--format", fmt])
+            assert code == 2 and "--trials >= 1" in err
+        code, out, err = run(capsys, ["pmr", "--n", "4", "--d", "3", "--m", "2",
+                                      "--inside", "1", "--trials", "-3"])
+        assert code == 2 and out == "" and "--trials >= 0" in err
+        # only gen, pmr and trials take --seed; only ksc, weak-cert and
+        # bounds-curve write csv; gen writes its graph format only
+        for argv in (["strong", "--d", "20", "--k", "6", "--seed", "1"],
+                     ["strong", "--d", "20", "--k", "6", "--format", "csv"],
+                     ["gen", "--n", "6", "--d", "3", "--format", "json"]):
+            code, _, _ = run(capsys, argv)
+            assert code == 2, argv
+        # an invalid STARDECOMP_SEED is a usage error where a seed is read
+        monkeypatch.setenv("STARDECOMP_SEED", "abc")
+        code, _, err = run(capsys, ["gen", "--n", "6", "--d", "3"])
+        assert code == 2 and "invalid int value: 'abc'" in err
+        code, _, _ = run(capsys, ["strong", "--d", "20", "--k", "6"])
+        assert code == 0
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, ["strong", "--d", "10", "--k", "6"])
@@ -235,12 +256,14 @@ class TestModuleEntryPoint:
         assert [row["d"] for row in rows] == list(range(13, 21))
 
     def test_import_leaves_scipy_out(self):
-        # scipy is installed alongside numpy but is not a dependency; importing
-        # it would add its load time and memory to every command.
+        # scipy and mpmath are installed alongside numpy but are not
+        # dependencies (mpmath is a test oracle only); importing either would
+        # add its load time and memory to every command.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, stardecomp, stardecomp.cli; print('scipy' in sys.modules)"],
+             "import sys, stardecomp, stardecomp.cli; "
+             "print([m for m in ('scipy', 'mpmath') if m in sys.modules])"],
             capture_output=True, text=True, env=_src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"

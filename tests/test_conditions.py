@@ -61,24 +61,38 @@ class TestStarParams:
             star_params(10, 6)
 
 
+def _oracle_Fd(d, k):
+    """F_d(r/2k, (d-2k+r)/d) at 60 digits in mpmath, apart from the package's code."""
+    p = star_params(d, k)
+    with mpmath.workdps(60):
+        x0 = mpmath.mpf(p.r) / (2 * k)
+        t0 = mpmath.mpf(d - 2 * k + p.r) / d
+
+        def h(z):
+            return -z * mpmath.log(z) if 0 < z < 1 else mpmath.mpf(0)
+
+        H = lambda z: h(z) + h(1 - z)
+        F = 0.5 * h(t0 * x0) + h((1 - t0) * x0) + 0.5 * h(1 - (2 - t0) * x0) - H(x0)
+        return d * F + H(x0)
+
+
 class TestStrongCondition:
     def test_against_high_precision_oracle(self):
         """Independent 60-digit evaluation of the defining inequality."""
         for d, k in [(13, 3), (13, 4), (20, 6), (23, 7), (23, 8), (100, 42), (100, 43)]:
-            p = star_params(d, k)
-            res = strong_condition(p)
-            with mpmath.workdps(60):
-                x0 = mpmath.mpf(p.r) / (2 * k)
-                t0 = mpmath.mpf(d - 2 * k + p.r) / d
-
-                def h(z):
-                    return -z * mpmath.log(z) if 0 < z < 1 else mpmath.mpf(0)
-
-                H = lambda z: h(z) + h(1 - z)
-                F = 0.5 * h(t0 * x0) + h((1 - t0) * x0) + 0.5 * h(1 - (2 - t0) * x0) - H(x0)
-                val = d * F + H(x0)
+            res = strong_condition(star_params(d, k))
+            val = _oracle_Fd(d, k)
             assert res.holds == (val < 0)
             assert res.margin == pytest.approx(float(val), abs=1e-9)
+
+    def test_band_is_decided_in_high_precision(self, monkeypatch):
+        # No pair with d <= 500 has a float margin in [-1e-9, 0), so force one:
+        # the margin must then be the high-precision value, and its sign decides.
+        monkeypatch.setattr("stardecomp.conditions.rate_Fd", lambda x, t, d: -5e-10)
+        for (d, k), holds in [((20, 6), True), ((13, 4), False)]:
+            res = strong_condition(star_params(d, k))
+            assert res.margin == float(_oracle_Fd(d, k))
+            assert res.holds is holds is (res.margin < 0)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateError):
