@@ -16,6 +16,7 @@ from .conditions import (
     StrongResult,
     WeakCertificate,
     k_sc,
+    k_sc_table,
     star_params,
     strong_condition,
     weak_certificate,
@@ -47,6 +48,7 @@ __all__ = [
     "StrongResult",
     "WeakCertificate",
     "k_sc",
+    "k_sc_table",
     "star_params",
     "strong_condition",
     "weak_certificate",

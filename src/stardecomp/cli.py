@@ -35,17 +35,20 @@ def _out_stream(args):
     return open(args.output, "w") if getattr(args, "output", None) else sys.stdout
 
 
-def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
-    """Write the subcommand result in the requested format."""
+def _emit(args, payload: dict, text_lines: list[str], csv_header="", csv_rows=()) -> None:
+    """Write the subcommand result in the requested format.
+
+    ``csv_header`` names the columns of the tuples in ``csv_rows``.
+    """
     fh = _out_stream(args)
     try:
         if args.format == "json":
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         elif args.format == "csv":
-            fh.write("x,value\n")
-            for x, v in csv_rows:
-                fh.write(f"{x},{v}\n")
+            fh.write(csv_header + "\n")
+            for row in csv_rows:
+                fh.write(",".join(map(str, row)) + "\n")
         else:
             fh.write("\n".join(text_lines) + "\n")
     finally:
@@ -179,11 +182,12 @@ def _cmd_strong(args) -> int:
 
 def _cmd_ksc(args) -> int:
     ds = [args.d] if args.d is not None else range(13, args.d_max + 1)
-    rows = [(d, conditions.k_sc(d).k_sc) for d in ds]
+    rows = [(row.d, row.k_sc) for row in conditions.k_sc_table(ds)]
     _emit(
         args,
         {"rows": [{"d": d, "k_sc": k} for d, k in rows]},
         [f"{d}\t{k}" for d, k in rows],
+        csv_header="d,k_sc",
         csv_rows=rows,
     )
     return 0
@@ -218,7 +222,9 @@ def _cmd_weak_cert(args) -> int:
             f"max bound = {cert.max_bound:+.6e}",
             f"verdict = {cert.verdict}",
         ],
-        csv_rows=list(cert.case1_curve) + list(cert.case2_curve),
+        csv_header="case,x,value",
+        csv_rows=[(1, x, v) for x, v in cert.case1_curve]
+        + [(2, x, v) for x, v in cert.case2_curve],
     )
     return 0 if cert.verdict else 1
 
@@ -237,10 +243,12 @@ def _cmd_bounds_curve(args) -> int:
     points = experiments.curve_points(
         args.kind, {k: v for k, v in params.items() if v is not None}
     )
+    header = "x,value"
     _emit(
         args,
         {"kind": args.kind, "points": [[x, v] for x, v in points]},
-        ["x,value"] + [f"{x},{v}" for x, v in points],  # text output is the CSV table
+        [header] + [f"{x},{v}" for x, v in points],  # text output is the CSV table
+        csv_header=header,
         csv_rows=points,
     )
     return 0

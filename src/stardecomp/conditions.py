@@ -3,8 +3,10 @@
 The *strong condition* for a pair (d, k) with d = 2sk + r, r >= 1, asks that
 the first-moment exponent F_d(x0, t0) be negative at x0 = r/(2k) and
 t0 = (d-2k+r)/d.  When it holds, star decompositions with an arbitrary
-prescribed (s+1)-star vertex set exist a.a.s.  ``k_sc(d)`` tabulates the
-largest k in the admissible range for which it holds.
+prescribed (s+1)-star vertex set exist a.a.s.  ``k_sc_table(ds)`` gives, for
+each d, the largest k in the admissible range for which it holds; it decides
+all pairs of a block of d values in one vectorised ``rate_Fd`` call, and
+``k_sc(d)`` is its one-row case.
 
 When the strong condition fails (necessarily s = 1, d = 2k + r), the *weak
 certificate* establishes negativity of the profile exponent eta over the
@@ -51,6 +53,7 @@ __all__ = [
     "star_params",
     "strong_condition",
     "k_sc",
+    "k_sc_table",
     "k_sc_max_k",
     "gamma_beta",
     "quarter_case_ratio",
@@ -170,17 +173,70 @@ def k_sc_max_k(d: int) -> int:
     return (d - 3) // 2
 
 
+#: Most (d, k) pairs one ``rate_Fd`` call of ``k_sc_table`` evaluates; it
+#: bounds the table's memory.  A d with more pairs is a call of its own.
+_PAIRS_PER_CALL = 8192
+
+
 def k_sc(d: int) -> ThresholdRow:
     """Largest k < d/2 - 1 for which the decomposition condition holds at (d, k).
 
     2k | d counts as holding (trivial Eulerian case); otherwise the strong
-    condition decides.  Scans k downward and returns at the first hit.
+    condition decides.  One row of ``k_sc_table``.
     """
-    for k in range(k_sc_max_k(d), 1, -1):
-        p = star_params(d, k)
-        if p.r == 0 or strong_condition(p).holds:
-            return ThresholdRow(d=d, k_sc=k)
-    raise RegimeError(f"no k in [2, {k_sc_max_k(d)}] satisfies the condition for d={d}")
+    return k_sc_table([d])[0]
+
+
+def k_sc_table(ds) -> list[ThresholdRow]:
+    """``k_sc(d)`` for every d of ``ds``, in order.
+
+    All pairs 2 <= k <= ``k_sc_max_k(d)`` of a block of whole d values (at
+    most ``_PAIRS_PER_CALL`` pairs, unless one d has more) go to ``rate_Fd``
+    in one call; Eulerian pairs (2k | d) hold without it.  A float margin in
+    the decision band is decided by ``strong_condition``, as for one pair.
+    Raises ``RegimeError`` for the first d where no k qualifies.
+    """
+    ds = [int(d) for d in ds]
+    rows, block, size = [], [], 0
+    for d in ds:
+        pairs = max(k_sc_max_k(d) - 1, 0)
+        if block and size + pairs > _PAIRS_PER_CALL:
+            rows += _k_sc_block(block)
+            block, size = [], 0
+        block.append(d)
+        size += pairs
+    if block:
+        rows += _k_sc_block(block)
+    return rows
+
+
+def _k_sc_block(ds: list[int]) -> list[ThresholdRow]:
+    """The rows of ``k_sc_table`` for one block, from one ``rate_Fd`` call."""
+    top = np.array([k_sc_max_k(d) for d in ds], dtype=np.int64)
+    counts = np.maximum(top - 1, 0)
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(len(ds)), counts)
+    d = np.array(ds, dtype=np.int64)[seg]
+    k = 2 + np.arange(seg.size) - starts[seg]  # 2, 3, ..., k_sc_max_k(d) per d
+    r = d % (2 * k)
+    holds = r == 0
+    live = np.flatnonzero(r)  # x0 = r/(2k) is 0 on the Eulerian pairs
+    dl, kl, rl = d[live], k[live], r[live]
+    margin = rate_Fd(rl / (2 * kl), (dl - 2 * kl + rl) / dl, dl)
+    holds[live] = margin < -DECISION_MARGIN
+    for i in np.flatnonzero((margin >= -DECISION_MARGIN) & (margin < 0)):
+        holds[live[i]] = strong_condition(star_params(int(dl[i]), int(kl[i]))).holds
+    # k grows within each d, so the segment maximum of the k that hold is k_sc
+    best = np.zeros(len(ds), dtype=np.int64)
+    full = counts > 0
+    if full.any():
+        best[full] = np.maximum.reduceat(np.where(holds, k, 0), starts[full])
+    rows = []
+    for dv, kv in zip(ds, best.tolist()):
+        if kv == 0:
+            raise RegimeError(f"no k in [2, {k_sc_max_k(dv)}] satisfies the condition for d={dv}")
+        rows.append(ThresholdRow(d=dv, k_sc=kv))
+    return rows
 
 
 def gamma_beta(beta):

@@ -145,13 +145,16 @@ def rate_Fd(x, t, d):
     """First-moment exponent F_d(x, t) = d*F(x, t) + H(x).
 
     Negative values certify that subsets of density <= x with average degree
-    >= t*d are exponentially unlikely.
+    >= t*d are exponentially unlikely.  ``d`` may be an integer array that
+    broadcasts with x and t; every entry must then be >= 3.
     """
-    if d < 3:
+    # np.any on a plain int costs microseconds, and the window search makes
+    # thousands of scalar-d calls.
+    if (d < 3).any() if isinstance(d, np.ndarray) else d < 3:
         raise DomainError("degree d must be >= 3")
     xa = _as_array(x)
     val = d * _as_array(rate_F(x, t)) + _H(xa)
-    return _maybe_scalar(val, x, t)
+    return _maybe_scalar(val, x, t, d)
 
 
 def _main_term(x: np.ndarray, t: np.ndarray) -> np.ndarray:

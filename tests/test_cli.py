@@ -161,6 +161,21 @@ class TestConditionCommands:
         assert code == 0
         assert out.strip() == "16\t4"
 
+    def test_ksc_csv(self, capsys):
+        code, out, _ = run(capsys, ["ksc", "--d", "16", "--format", "csv"])
+        assert code == 0
+        assert out.splitlines() == ["d,k_sc", "16,4"]
+
+    def test_weak_cert_csv(self, capsys):
+        code, out, _ = run(capsys, ["weak-cert", "--d", "23", "--k", "8",
+                                    "--format", "csv"])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "case,x,value"
+        cases = [row.split(",")[0] for row in rows]
+        assert set(cases) == {"1", "2"} and cases == sorted(cases)
+        assert all(len(row.split(",")) == 3 for row in rows)
+
     def test_gamma(self, capsys):
         code, out, _ = run(capsys, ["gamma", "--beta", "0.5", "--format", "json"])
         assert code == 0
@@ -254,6 +269,19 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)["rows"]
         assert [row["d"] for row in rows] == list(range(13, 21))
+
+    def test_python_m_stardecomp_csv(self):
+        def ksc(fmt):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stardecomp", "ksc", "--d-max", "20", "--format", fmt],
+                capture_output=True, text=True, env=_src_env(), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        header, *rows = ksc("csv").splitlines()
+        assert header == "d,k_sc" and len(rows) == 8
+        assert rows == [f"{row['d']},{row['k_sc']}" for row in json.loads(ksc("json"))["rows"]]
 
     def test_import_leaves_scipy_out(self):
         # scipy and mpmath are installed alongside numpy but are not

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from stardecomp.conditions import (
     gamma_beta,
     k_sc,
     k_sc_max_k,
+    k_sc_table,
     scan_quarter_case,
     star_params,
     strong_condition,
@@ -110,6 +112,52 @@ class TestThresholdTable:
         assert k_sc(16).k_sc == 4
         assert k_sc(20).k_sc == 6
         assert k_sc(30).k_sc == 10
+
+    def test_table_equals_downward_scan(self):
+        def scan(d):
+            for k in range(k_sc_max_k(d), 1, -1):
+                p = star_params(d, k)
+                if p.r == 0 or strong_condition(p).holds:
+                    return k
+
+        ds = range(13, 501)
+        assert [(row.d, row.k_sc) for row in k_sc_table(ds)] == [(d, scan(d)) for d in ds]
+        assert k_sc_table([]) == []
+        for d, top in [(3, 0), (4, 0), (5, 1), (6, 1)]:
+            message = f"no k in [2, {top}] satisfies the condition for d={d}"
+            for call in (k_sc, lambda d: k_sc_table([20, d, 30])):
+                with pytest.raises(RegimeError, match=re.escape(message)):
+                    call(d)
+
+    def test_blocking_does_not_change_the_table(self, monkeypatch):
+        import stardecomp.conditions as conditions
+
+        ds = range(13, 201)
+        want = k_sc_table(ds)
+        widest = max(k_sc_max_k(d) - 1 for d in ds)
+        calls = []
+
+        def spy(x, t, d):
+            calls.append(np.size(x))
+            return rate_Fd(x, t, d)
+
+        monkeypatch.setattr(conditions, "rate_Fd", spy)
+        assert k_sc_table(range(13, 161)) == want[:148]
+        assert len(calls) == 1  # the CLI's default table is one call
+        for cap in (1, 7, 100):  # one d per call, a few, many
+            monkeypatch.setattr(conditions, "_PAIRS_PER_CALL", cap)
+            calls.clear()
+            assert k_sc_table(ds) == want
+            assert max(calls) <= max(cap, widest)
+            assert len(calls) > 1
+
+    def test_table_band_is_decided_in_high_precision(self, monkeypatch):
+        # Every float margin in the band [-1e-9, 0): only the high-precision
+        # decision of strong_condition can rebuild the table.
+        want = k_sc_table(range(13, 40))
+        monkeypatch.setattr("stardecomp.conditions.rate_Fd",
+                            lambda x, t, d: np.full(np.shape(x), -5e-10))
+        assert k_sc_table(range(13, 40)) == want
 
     def test_full_scan_agrees(self):
         # k_sc stops at the first hit scanning down; no larger k may hold

@@ -133,6 +133,34 @@ class TestRateF:
         # F_d = d*F + H; at x = t the H term survives alone.
         assert rate_Fd(0.3, 0.3, 7) == pytest.approx(entropy_H(0.3), abs=1e-12)
 
+    def test_rate_Fd_array_d_matches_scalar_calls(self):
+        # The strong-condition points of every pair with 5 <= d <= 120, plus
+        # random feasible points, each with its own d.
+        d, k = np.array([(d, k) for d in range(5, 121) for k in range(2, d // 2 + 1)
+                         if d % (2 * k)]).T
+        r = d % (2 * k)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([r / (2 * k), rng.uniform(0.0, 0.5, 500)])
+        t = np.concatenate([(d - 2 * k + r) / d, rng.uniform(0.0, 1.0, 500)])
+        d = np.concatenate([d, rng.integers(3, 1000, 500)])
+        got = rate_Fd(x, t, d)
+        want = np.array([rate_Fd(float(a), float(b), int(c)) for a, b, c in zip(x, t, d)])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # d broadcasts against scalar x and t
+        ds = np.arange(3, 40)
+        assert np.array_equal(
+            rate_Fd(0.2, 0.5, ds).view(np.int64),
+            np.array([rate_Fd(0.2, 0.5, int(c)) for c in ds]).view(np.int64),
+        )
+
+    def test_rate_Fd_rejects_any_small_d(self):
+        with pytest.raises(DomainError):
+            rate_Fd(0.2, 0.5, 2)
+        for bad in ([2, 7, 9], [7, 9, 2], [7, -1, 9], [0]):
+            with pytest.raises(DomainError):
+                rate_Fd(np.full(3, 0.2), 0.5, np.array(bad))
+
 
 class TestAnalyticBounds:
     def test_upper_estimate_dominates_on_grid(self):
