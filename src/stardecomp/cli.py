@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import conditions, experiments, numerics
 from . import graph as gr
 from .decompose import (
@@ -126,14 +128,12 @@ def _cmd_verify(args) -> int:
     if args.A is not None:
         profile = _profile_for(G, args.k, args.A)
     else:
-        counts = [0] * G.N
-        for star in D.stars:
-            if not 0 <= star.center < G.N:
-                _emit(args, {"valid": False, "reason": "star center out of range"},
-                      ["invalid: star center out of range"])
-                return 1
-            counts[star.center] += 1
-        profile = StarProfile(k=args.k, j_of=tuple(counts))
+        centers = D.centers
+        if centers.size and (centers.min() < 0 or centers.max() >= G.N):
+            _emit(args, {"valid": False, "reason": "star center out of range"},
+                  ["invalid: star center out of range"])
+            return 1
+        profile = StarProfile(k=args.k, j_of=tuple(np.bincount(centers, minlength=G.N).tolist()))
     ok, why = verify_decomposition(G, args.k, profile, D)
     _emit(args, {"valid": ok, "reason": why}, ["valid" if ok else f"invalid: {why}"])
     return 0 if ok else 1
@@ -311,7 +311,12 @@ def _cmd_trials(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of subcommand ``only`` alone.
+
+    A name that matches no subcommand gives the full parser.  The --seed
+    default reads STARDECOMP_SEED here, so each build sees its current value.
+    """
     parser = argparse.ArgumentParser(
         prog="stardecomp",
         description="k-star decompositions of regular graphs and their certificates",
@@ -319,6 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, *, seeded=False, formats=("text", "json"), **kwargs):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         if seeded:  # argparse applies type=int to the string default
@@ -329,90 +336,99 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     csv = ("text", "json", "csv")
-    p = add("gen", _cmd_gen, seeded=True, formats=(), help="sample a simple d-regular graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sampler", choices=("auto", "reject", "restart"), default="auto")
+    if p := add("gen", _cmd_gen, seeded=True, formats=(), help="sample a simple d-regular graph"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--sampler", choices=("auto", "reject", "restart"), default="auto")
 
-    p = add("decompose", _cmd_decompose, help="decompose a graph into k-stars")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", default=None, help="file listing the (s+1)-star vertices")
+    if p := add("decompose", _cmd_decompose, help="decompose a graph into k-stars"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--A", default=None, help="file listing the (s+1)-star vertices")
 
-    p = add("verify", _cmd_verify, help="verify a decomposition file")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--decomposition", required=True)
-    p.add_argument("--A", default=None)
+    if p := add("verify", _cmd_verify, help="verify a decomposition file"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--decomposition", required=True)
+        p.add_argument("--A", default=None)
 
-    p = add("cond-check", _cmd_cond_check, help="evaluate the subset condition for one U")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--U", required=True, help="comma/space separated 1-based vertex ids")
-    p.add_argument("--A", default=None)
+    if p := add("cond-check", _cmd_cond_check, help="evaluate the subset condition for one U"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--U", required=True, help="comma/space separated 1-based vertex ids")
+        p.add_argument("--A", default=None)
 
-    p = add("brute-check", _cmd_brute_check, help="check the condition on all subsets")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", default=None)
+    if p := add("brute-check", _cmd_brute_check, help="check the condition on all subsets"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--A", default=None)
 
-    p = add("strong", _cmd_strong, help="decide the strong condition at (d, k)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    if p := add("strong", _cmd_strong, help="decide the strong condition at (d, k)"):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
 
-    p = add("ksc", _cmd_ksc, formats=csv, help="threshold table k_sc(d)")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--d", type=int)
-    g.add_argument("--d-max", type=int)
+    if p := add("ksc", _cmd_ksc, formats=csv, help="threshold table k_sc(d)"):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--d", type=int)
+        g.add_argument("--d-max", type=int)
 
-    p = add("gamma", _cmd_gamma, help="threshold ratio at a given beta")
-    p.add_argument("--beta", type=float, required=True)
+    if p := add("gamma", _cmd_gamma, help="threshold ratio at a given beta"):
+        p.add_argument("--beta", type=float, required=True)
 
-    p = add("quarter-scan", _cmd_quarter_scan, help="scan the s >= 2 reduction curve")
-    p.add_argument("--grid", type=int, default=10_000)
+    if p := add("quarter-scan", _cmd_quarter_scan, help="scan the s >= 2 reduction curve"):
+        p.add_argument("--grid", type=int, default=10_000)
 
-    p = add("weak-cert", _cmd_weak_cert, formats=csv, help="build the weak certificate for (d, k)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grid-step", type=float, default=1e-4)
-    p.add_argument("--x-minus", type=float, default=None)
-    p.add_argument("--x-plus", type=float, default=None)
+    if p := add("weak-cert", _cmd_weak_cert, formats=csv,
+                help="build the weak certificate for (d, k)"):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--grid-step", type=float, default=1e-4)
+        p.add_argument("--x-minus", type=float, default=None)
+        p.add_argument("--x-plus", type=float, default=None)
 
-    p = add("bounds-curve", _cmd_bounds_curve, formats=csv,
-            help="emit a certificate curve (CSV table unless --format json)")
-    p.add_argument("--kind", choices=("gamma", "quarter-case", "weak-bound"), required=True)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--x-minus", type=float, default=None)
-    p.add_argument("--x-plus", type=float, default=None)
+    if p := add("bounds-curve", _cmd_bounds_curve, formats=csv,
+                help="emit a certificate curve (CSV table unless --format json)"):
+        p.add_argument("--kind", choices=("gamma", "quarter-case", "weak-bound"), required=True)
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--grid", type=int, default=None)
+        p.add_argument("--grid-step", type=float, default=None)
+        p.add_argument("--x-minus", type=float, default=None)
+        p.add_argument("--x-plus", type=float, default=None)
 
-    p = add("pmr", _cmd_pmr, seeded=True,
-            help="exact (and optionally empirical) subset probability")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--inside", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--trials", type=int, default=0)
+    if p := add("pmr", _cmd_pmr, seeded=True,
+                help="exact (and optionally empirical) subset probability"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--inside", type=int, default=None)
+        p.add_argument("--r", type=float, default=None)
+        p.add_argument("--trials", type=int, default=0)
 
-    p = add("trials", _cmd_trials, seeded=True, help="Monte Carlo decomposition trials")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--a-mode", choices=("random", "fixed"), default="random")
-    p.add_argument("--sampler", choices=("auto", "reject", "restart"), default="auto")
-    p.add_argument("--records", action="store_true")
+    if p := add("trials", _cmd_trials, seeded=True, help="Monte Carlo decomposition trials"):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--a-mode", choices=("random", "fixed"), default="random")
+        p.add_argument("--sampler", choices=("auto", "reject", "restart"), default="auto")
+        p.add_argument("--records", action="store_true")
 
+    if only is not None and not sub.choices:
+        return _build_parser()
     return parser
 
 
 def dispatch(argv=None) -> int:
-    parser = _build_parser()
+    # Building the 13 subparsers costs more than a small command, so only
+    # the one argv names is built.  Help, a missing or unknown subcommand and
+    # arguments it does not take are reported by the full parser, whose
+    # usage line lists every subcommand.
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

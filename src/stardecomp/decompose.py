@@ -18,17 +18,24 @@ over U: a witness that no such decomposition exists.  The loop returns the
 set reached from the vertices above quota; push-relabel returns the set of
 vertices that reach no vertex below quota.  The brute-force subset check
 over all 2^N sets provides the independent oracle for small graphs.
+
+From the orientation on, the result stays in arrays: ``stars_from_orientation``
+cuts the edges, sorted by tail, into k-blocks of a ``StarDecomposition``
+(center, edge-id and offset arrays), and ``verify_decomposition`` checks
+those against the graph's ``ends`` array in one vectorised pass.  ``Star``
+objects are built only when a caller reads ``StarDecomposition.stars``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphError, SimpleGraph, edges_within
+from .graph import GraphError, SimpleGraph, _repeats, edges_within
 
 __all__ = [
     "ProfileError",
@@ -124,9 +131,61 @@ class Star:
     edge_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class StarDecomposition:
-    stars: tuple[Star, ...]
+    """Stars stored as arrays: star i is centered at ``centers[i]`` and holds
+    the edges ``edge_ids[offsets[i]:offsets[i + 1]]``.
+
+    All three are read-only int64 arrays.  The offsets let a star have any
+    number of edges, so a malformed decomposition stays representable for
+    ``verify_decomposition`` to reject.  ``StarDecomposition(stars)`` builds
+    the arrays from a sequence of ``Star``; ``stars_from_orientation`` fills
+    them directly.  ``stars`` is the tuple of ``Star``, built on first use.
+    Two decompositions are equal when they list the same stars in the same
+    order.
+    """
+
+    def __init__(self, stars):
+        stars = tuple(stars)
+        sizes = [len(star.edge_ids) for star in stars]
+        ids = chain.from_iterable(star.edge_ids for star in stars)
+        self._set_arrays(
+            np.fromiter((star.center for star in stars), np.int64, len(stars)),
+            np.fromiter(ids, np.int64, sum(sizes)),
+            np.cumsum([0, *sizes], dtype=np.int64),
+        )
+        self.__dict__["stars"] = stars  # the cached value of the property
+
+    @classmethod
+    def _from_arrays(cls, centers, edge_ids, offsets) -> StarDecomposition:
+        D = cls.__new__(cls)
+        D._set_arrays(centers, edge_ids, offsets)
+        return D
+
+    def _set_arrays(self, centers, edge_ids, offsets) -> None:
+        for a in (centers, edge_ids, offsets):
+            a.setflags(write=False)
+        self.centers, self.edge_ids, self.offsets = centers, edge_ids, offsets
+
+    @cached_property
+    def stars(self) -> tuple[Star, ...]:
+        ids, bounds = self.edge_ids.tolist(), self.offsets.tolist()
+        return tuple(
+            Star(c, tuple(ids[a:b])) for c, a, b in zip(self.centers.tolist(), bounds, bounds[1:])
+        )
+
+    def _key(self) -> tuple[bytes, ...]:
+        return self.centers.tobytes(), self.offsets.tobytes(), self.edge_ids.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, StarDecomposition):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"StarDecomposition(stars={self.stars!r})"
 
 
 @dataclass(frozen=True)
@@ -295,8 +354,7 @@ def _orient_push_relabel(G: SimpleGraph, profile: StarProfile) -> Orientation | 
     or of its pushing vertices, so a long path costs per level, not per
     level times m.
     """
-    N, d, m = G.N, G.d, len(G.edges)
-    ends = np.fromiter(chain.from_iterable(G.edges), np.int64, 2 * m).reshape(m, 2)
+    N, d, ends = G.N, G.d, G.ends
     u, v = ends[:, 0], ends[:, 1]
     other = u ^ v  # other[e] ^ w is the endpoint of e that is not w
     quota = np.asarray(profile.j_of, dtype=np.int64) * profile.k
@@ -375,10 +433,9 @@ def stars_from_orientation(
         raise ProfileError(f"vertex {v} has out-degree {out[v]}, profile demands {quota[v]}")
     # A stable sort lists each vertex's edges in ascending id, and every
     # out-degree is a multiple of k, so the k-blocks never straddle vertices.
-    blocks = np.argsort(tails, kind="stable").reshape(-1, k)
-    centers = tails[blocks[:, 0]].tolist()
-    edge_ids = zip(*[iter(blocks.ravel().tolist())] * k)  # one flat list, cut into k-tuples
-    return StarDecomposition(stars=tuple(map(Star, centers, edge_ids)))
+    edge_ids = np.argsort(tails, kind="stable")
+    offsets = np.arange(0, edge_ids.size + 1, k)
+    return StarDecomposition._from_arrays(tails[edge_ids[::k]], edge_ids, offsets)
 
 
 def decompose(G: SimpleGraph, k: int, profile: StarProfile) -> StarDecomposition | Witness:
@@ -400,28 +457,56 @@ def verify_decomposition(
 ) -> tuple[bool, str | None]:
     """Check edge partition, incidence, star sizes and per-vertex counts.
 
-    Returns (True, None) or (False, first violation found).
+    Returns (True, None) or (False, the first violation in star order).
+    Within that order a star's size is checked before its edges, and each
+    edge id for its range, then for an earlier use, then for incidence to
+    the star's center.  Uncovered edges come after all stars, and the
+    per-vertex star counts last.
     """
-    used = [False] * len(G.edges)
-    counts = [0] * G.N
-    for star in D.stars:
-        if len(star.edge_ids) != k:
-            return False, f"star at {star.center} has {len(star.edge_ids)} edges, expected {k}"
-        counts[star.center] += 1
-        for eid in star.edge_ids:
-            if not 0 <= eid < len(G.edges):
-                return False, f"unknown edge id {eid}"
-            if used[eid]:
-                return False, f"edge {eid} covered twice"
-            used[eid] = True
-            if star.center not in G.edges[eid]:
-                return False, f"edge {eid} not incident to center {star.center}"
-    if not all(used):
-        return False, f"edge {used.index(False)} not covered"
-    for v in range(G.N):
-        if counts[v] != profile.j_of[v]:
-            return False, f"vertex {v} centers {counts[v]} stars, profile demands {profile.j_of[v]}"
-    return True, None
+    if k < 1:
+        raise ProfileError("star size k must be >= 1")
+    m, centers, ids, offsets = len(G.edges), D.centers, D.edge_ids, D.offsets
+    if ids.size == m and (offsets[1:] - offsets[:-1] == k).all() and (not m or ids.min() >= 0):
+        cover = np.bincount(ids, minlength=m)  # longer than m if an id is too large
+        if cover.size == m:
+            at, center = G.ends[ids], centers.repeat(k)
+            ok = (at[:, 0] == center) | (at[:, 1] == center)
+            ok &= cover == 1
+            # Each center has k >= 1 incident edges, so it is a vertex.
+            if ok.all() and (np.bincount(centers, minlength=G.N) == profile.j_of).all():
+                return True, None
+    return False, _first_violation(G, k, profile, D)
+
+
+def _first_violation(G: SimpleGraph, k: int, profile: StarProfile, D: StarDecomposition) -> str:
+    """The message for the first violation of ``verify_decomposition``."""
+    m, centers, ids = len(G.edges), D.centers, D.edge_ids
+    sizes = np.diff(D.offsets)
+    center = np.repeat(centers, sizes)
+    known = (ids >= 0) & (ids < m)
+    at = np.full((ids.size, 2), -1)
+    at[known] = G.ends[ids[known]]
+    repeat = _repeats(ids)
+    bad_edge = np.flatnonzero(~known | repeat | ((at[:, 0] != center) & (at[:, 1] != center)))
+    bad_size = np.flatnonzero(sizes != k)
+    if bad_size.size:
+        i = int(bad_size[0])
+        if not bad_edge.size or D.offsets[i] <= bad_edge[0]:
+            return f"star at {centers[i]} has {sizes[i]} edges, expected {k}"
+    if bad_edge.size:
+        p = int(bad_edge[0])
+        if not known[p]:
+            return f"unknown edge id {ids[p]}"
+        if repeat[p]:
+            return f"edge {ids[p]} covered twice"
+        return f"edge {ids[p]} not incident to center {center[p]}"
+    covered = np.zeros(m, dtype=bool)
+    covered[ids] = True
+    if not covered.all():
+        return f"edge {int(covered.argmin())} not covered"
+    counts = np.bincount(centers, minlength=G.N)
+    v = int(np.flatnonzero(counts != profile.j_of)[0])
+    return f"vertex {v} centers {counts[v]} stars, profile demands {profile.j_of[v]}"
 
 
 def check_condition_U(G: SimpleGraph, profile: StarProfile, U) -> tuple[bool, bool]:
@@ -494,4 +579,7 @@ def read_decomposition(path: str | Path) -> StarDecomposition:
         except ValueError as exc:
             raise GraphError(f"line {lineno}: malformed star line {raw!r}") from exc
         stars.append(Star(center=center, edge_ids=ids))
-    return StarDecomposition(stars=tuple(stars))
+    try:
+        return StarDecomposition(stars=tuple(stars))
+    except OverflowError as exc:
+        raise GraphError("star centers and edge ids must fit in 64 bits") from exc

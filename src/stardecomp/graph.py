@@ -4,7 +4,8 @@ A ``MultiGraph`` is a perfect matching of N*d labeled half-edges; half-edge
 ``i`` belongs to vertex ``i // d``.  Loops and parallel edges are allowed;
 a loop is a single edge contributing 2 to its vertex's degree.  A
 ``SimpleGraph`` is the loop/multi-edge-free case with an explicit edge list
-whose index order defines the edge ids used everywhere downstream.
+whose index order defines the edge ids used everywhere downstream; it also
+holds that list as a read-only (m, 2) int64 array, ``ends``, for array code.
 
 Randomness is reproducible: every sampler builds one numpy generator from
 its seed, so a seed always gives the same graph.  The samplers work on
@@ -14,7 +15,8 @@ arrays: ``reject_to_simple`` tests whole batches of pairings at once, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,6 @@ __all__ = [
     "MultiGraph",
     "SimpleGraph",
     "gen_configuration",
-    "is_simple",
-    "multigraph_to_simple",
     "reject_to_simple",
     "sample_simple",
     "edges_within",
@@ -104,36 +104,53 @@ def _repeats(key: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def _edge_array(edges) -> np.ndarray:
+    """The (m, 2) int64 array of a sequence of integer pairs."""
+    try:
+        if set(map(len, edges)) - {2} or not all(
+            issubclass(t, (int, np.integer)) for t in set(map(type, chain.from_iterable(edges)))
+        ):  # floats, strings: never cast
+            raise TypeError
+        return np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError("edges must be pairs of 64-bit integers") from exc
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Simple d-regular graph; edge ids are list positions."""
+    """Simple d-regular graph; edge ids are list positions.
+
+    ``edges`` is the tuple of pairs (u, v), u < v, that callers build and
+    that ``write_graph`` writes.  ``ends`` holds the same edges as a
+    read-only (m, 2) int64 array, built and validated once at construction;
+    array code reads it instead of converting ``edges`` again.  ``_ends``
+    is for the samplers, which hand over that array ready-made (it must
+    equal ``edges``); it is validated in place of ``edges``.
+    """
 
     N: int
     d: int
     edges: tuple[tuple[int, int], ...]  # (u, v) with u < v
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _ends: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        edges = self.edges
-        try:
-            sizes = set(map(len, edges))
-            ends = np.array([x for e in edges for x in e], dtype=None if edges else np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphError("edges must be pairs of 64-bit integers") from exc
-        if sizes - {2} or ends.dtype.kind not in "iu":  # floats, strings: never cast
-            raise GraphError("edges must be pairs of 64-bit integers")
-        u, v = ends[0::2], ends[1::2]
+    def __post_init__(self, _ends):
+        ends = _edge_array(self.edges) if _ends is None else _ends
+        u, v = ends[:, 0], ends[:, 1]
         bad = (u < 0) | (u >= v) | (v >= self.N)
         bad |= _repeats(u * self.N + v)
         if bad.any():
-            u, v = edges[int(bad.argmax())]
+            u, v = ends[int(bad.argmax())].tolist()
             if not (0 <= u < v < self.N):
                 raise GraphError(f"bad edge ({u}, {v}): need 0 <= u < v < N")
             raise GraphError(f"parallel edge ({u}, {v})")
-        deg = np.bincount(ends, minlength=max(self.N, 0))
+        deg = np.bincount(ends.ravel(), minlength=max(self.N, 0))
         wrong = np.flatnonzero(deg != self.d)
         if wrong.size:
             v = int(wrong[0])
             raise GraphError(f"vertex {v} has degree {deg[v]}, expected {self.d}")
+        ends.setflags(write=False)
+        object.__setattr__(self, "ends", ends)
 
     def incident_edges(self) -> list[list[int]]:
         inc = [[] for _ in range(self.N)]
@@ -177,21 +194,6 @@ def gen_configuration(N: int, d: int, seed) -> MultiGraph:
     return MultiGraph(N=N, d=d, pairing=tuple(map(tuple, pairs.tolist())))
 
 
-def is_simple(G: MultiGraph) -> bool:
-    seen = set()
-    for u, v in G.edges:
-        if u == v or (u, v) in seen:
-            return False
-        seen.add((u, v))
-    return True
-
-
-def multigraph_to_simple(G: MultiGraph) -> SimpleGraph:
-    if not is_simple(G):
-        raise GraphError("multigraph has loops or parallel edges")
-    return SimpleGraph(N=G.N, d=G.d, edges=tuple(sorted(G.edges)))
-
-
 def _check_simple_params(N: int, d: int) -> None:
     if d < 1 or N <= d:
         raise GraphError("need N > d >= 1 for a simple d-regular graph")
@@ -201,7 +203,8 @@ def _check_simple_params(N: int, d: int) -> None:
 
 def _from_keys(N: int, d: int, key: np.ndarray) -> SimpleGraph:
     """The graph whose edges (u, v), u < v, are the sorted keys u*N + v."""
-    return SimpleGraph(N=N, d=d, edges=tuple(zip((key // N).tolist(), (key % N).tolist())))
+    u, v = np.divmod(key, N)
+    return SimpleGraph(N, d, tuple(zip(u.tolist(), v.tolist())), np.stack((u, v), axis=1))
 
 
 _BATCH_ELEMENTS = 1 << 12  # half-edges per batch of tries: 32 kB per array

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stardecomp.cli import dispatch
+from stardecomp.cli import _build_parser, dispatch
 from stardecomp.graph import read_graph, reject_to_simple, write_graph
 
 
@@ -58,6 +58,31 @@ class TestRouting:
         code, _, _ = run(capsys, ["strong", "--d", "20", "--k", "6"])
         assert code == 0
 
+    def test_messages_match_full_parser(self, capsys):
+        # dispatch builds only the named subparser; help and usage errors
+        # must read as those of the parser of every subcommand.
+        for argv in ([], ["--help"], ["-h"], ["no-such-command"], ["ksc", "--help"],
+                     ["ksc"], ["ksc", "--d", "16", "--bogus"], ["gen", "--n", "x", "--d", "3"],
+                     ["strong", "--d", "20", "--k", "6", "--format", "csv"],
+                     ["trials", "--help"], ["weak-cert", "--d", "20", "extra"]):
+            code, out, err = run(capsys, argv)
+            with pytest.raises(SystemExit) as exc:
+                _build_parser().parse_args(argv)
+            full = capsys.readouterr()
+            assert (code, out, err) == (int(exc.value.code or 0), full.out, full.err), argv
+        _, _, err = run(capsys, ["ksc", "--d", "16", "--bogus"])
+        assert "{gen,decompose,verify," in err and err.endswith("arguments: --bogus\n")
+
+    def test_seed_env_read_per_call(self, capsys, monkeypatch):
+        outs = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("STARDECOMP_SEED", seed)
+            code, out, _ = run(capsys, ["gen", "--n", "12", "--d", "3"])
+            assert code == 0
+            assert out == run(capsys, ["gen", "--n", "12", "--d", "3", "--seed", seed])[1]
+            outs.append(out)
+        assert outs[0] != outs[1]
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, ["strong", "--d", "10", "--k", "6"])
         assert code == 1
@@ -103,6 +128,21 @@ class TestGenDecomposeVerify:
                                     "--decomposition", dec])
         assert code == 1
         assert "invalid" in out
+
+    def test_verify_center_out_of_range(self, tmp_path, capsys):
+        g = str(tmp_path / "g.txt")
+        dec = tmp_path / "dec.txt"
+        dispatch(["gen", "--n", "10", "--d", "4", "--seed", "7", "-o", g])
+        dispatch(["decompose", "--graph", g, "--k", "2", "-o", str(dec)])
+        lines = dec.read_text().splitlines()
+        for center in ("0", "11"):  # 1-based ids
+            dec.write_text("\n".join([center + lines[0][lines[0].index(":"):]] + lines[1:]))
+            code, out, _ = run(capsys, ["verify", "--graph", g, "--k", "2",
+                                        "--decomposition", str(dec)])
+            assert (code, out) == (1, "invalid: star center out of range\n")
+        dec.write_text("1: 1 99999999999999999999\n")
+        code, _, err = run(capsys, ["verify", "--graph", g, "--k", "2", "--decomposition", str(dec)])
+        assert code == 1 and "64 bits" in err
 
     def test_default_A_is_first_vertices(self, tmp_path, capsys):
         # d = 10, k = 3: s = 1, r = 4, so A is the first 60*4/6 = 40 vertices

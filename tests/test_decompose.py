@@ -1,5 +1,7 @@
 """Orientation pipeline, verification, and the brute-force subset oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -324,6 +326,41 @@ class TestCrossover:
         assert not self._agree(*_two_blocks(N, 0))
 
 
+def _verify_by_loop(G, k, profile, D):
+    """The per-star loop that verify_decomposition replaced: the oracle for
+    its (ok, why).  Counts sit in a Counter, where the old list raised
+    IndexError for a center >= N; an out-of-range center never reaches the
+    count check, as its first edge is not incident to it."""
+    used = [False] * len(G.edges)
+    counts = Counter()
+    for star in D.stars:
+        if len(star.edge_ids) != k:
+            return False, f"star at {star.center} has {len(star.edge_ids)} edges, expected {k}"
+        counts[star.center] += 1
+        for eid in star.edge_ids:
+            if not 0 <= eid < len(G.edges):
+                return False, f"unknown edge id {eid}"
+            if used[eid]:
+                return False, f"edge {eid} covered twice"
+            used[eid] = True
+            if star.center not in G.edges[eid]:
+                return False, f"edge {eid} not incident to center {star.center}"
+    if not all(used):
+        return False, f"edge {used.index(False)} not covered"
+    for v in range(G.N):
+        if counts[v] != profile.j_of[v]:
+            return False, f"vertex {v} centers {counts[v]} stars, profile demands {profile.j_of[v]}"
+    return True, None
+
+
+def _replace(D, i, center=None, edge_ids=None):
+    """D with star i's center and/or edge ids replaced."""
+    s = D.stars[i]
+    star = Star(s.center if center is None else center,
+                s.edge_ids if edge_ids is None else tuple(edge_ids))
+    return StarDecomposition(D.stars[:i] + (star,) + D.stars[i + 1:])
+
+
 class TestVerification:
     def _setup(self):
         G = sample_simple(10, 4, seed=2)
@@ -360,6 +397,109 @@ class TestVerification:
         wrong = StarProfile(k=2, j_of=(2, 0) + prof.j_of[2:])
         ok, why = verify_decomposition(G, 2, wrong, D)
         assert not ok
+
+    def test_messages(self):
+        G, prof, D = self._setup()
+        m = len(G.edges)
+        s0, s1 = D.stars[0], D.stars[1]
+        far = next(e for e, (u, v) in enumerate(G.edges) if s0.center not in (u, v))
+        cases = {
+            # ragged star: the size is reported before the star's bad edge id
+            "star at {c} has 1 edges, expected 2".format(c=s0.center):
+                _replace(D, 0, edge_ids=(-1,)),
+            "star at {c} has 3 edges, expected 2".format(c=s1.center):
+                _replace(D, 1, edge_ids=s1.edge_ids + (s0.edge_ids[0],)),
+            "unknown edge id -1": _replace(D, 1, edge_ids=(s1.edge_ids[0], -1)),
+            f"unknown edge id {m}": _replace(D, 0, edge_ids=(m, s0.edge_ids[1])),
+            # an out-of-range center fails at its first edge, which is not incident
+            f"edge {s0.edge_ids[0]} not incident to center {G.N}": _replace(D, 0, center=G.N),
+            f"edge {s0.edge_ids[0]} not incident to center -1": _replace(D, 0, center=-1),
+            f"edge {s0.edge_ids[0]} covered twice":
+                _replace(D, 1, edge_ids=(s0.edge_ids[0], s1.edge_ids[1])),
+            f"edge {far} not incident to center {s0.center}":
+                _replace(D, 0, edge_ids=(s0.edge_ids[0], far)),
+            f"edge {s0.edge_ids[0]} not covered": StarDecomposition(D.stars[1:]),
+        }
+        for why, bad in cases.items():
+            assert verify_decomposition(G, 2, prof, bad) == (False, why)
+            assert _verify_by_loop(G, 2, prof, bad) == (False, why)
+        j = (prof.j_of[0] + 1, prof.j_of[1] - 1) + prof.j_of[2:]
+        want = f"vertex 0 centers {prof.j_of[0]} stars, profile demands {j[0]}"
+        assert verify_decomposition(G, 2, StarProfile(k=2, j_of=j), D) == (False, want)
+        assert verify_decomposition(G, 2, prof, D) == (True, None)
+
+    def test_star_size_must_be_positive(self):
+        G, prof, D = self._setup()
+        with pytest.raises(ProfileError):
+            verify_decomposition(G, 0, prof, StarDecomposition(()))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["center", "edge", "drop", "add", "star", "swap"]),
+                      st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_on_corrupted_decompositions(self, seed, edits):
+        rng = np.random.default_rng(seed)
+        N, d, k = [(10, 4, 2), (12, 3, 1), (18, 6, 3)][seed % 3]
+        G = sample_simple(N, d, seed)
+        m = len(G.edges)
+        prof = balanced_profile(N, d, k, rng.permutation(N)[: N * (d % (2 * k)) // (2 * k)])
+        D = decompose(G, k, prof)
+        assume(isinstance(D, StarDecomposition))
+        stars = [[s.center, list(s.edge_ids)] for s in D.stars]
+        for kind, a, b in edits:
+            star = stars[a % len(stars)] if stars else None
+            if kind == "center" and star:
+                star[0] = b % (N + 4) - 2  # -2 .. N + 1
+            elif kind == "edge" and star and star[1]:
+                star[1][a % len(star[1])] = b % (m + 4) - 2
+            elif kind == "drop" and star and star[1]:
+                star[1].pop(b % len(star[1]))
+            elif kind == "add" and star:
+                star[1].insert(b % (len(star[1]) + 1), b % m)
+            elif kind == "star" and star:
+                del stars[a % len(stars)]
+            elif kind == "swap" and stars:
+                i, j = a % len(stars), b % len(stars)
+                stars[i], stars[j] = stars[j], stars[i]
+        D = StarDecomposition(Star(c, tuple(ids)) for c, ids in stars)
+        assert verify_decomposition(G, k, prof, D) == _verify_by_loop(G, k, prof, D)
+
+    def test_extraction_builds_no_star(self, monkeypatch):
+        made = []
+        init = Star.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Star, "__init__", counting)
+        for N in (60, 600):  # path reversal, then push-relabel
+            G = sample_simple(N, 10, seed=1)
+            prof = balanced_profile(N, 10, 3)
+            orientation = orient_with_outdegrees(G, prof)
+            D = stars_from_orientation(G, orientation, prof)
+            assert verify_decomposition(G, 3, prof, D) == (True, None)
+            assert decompose(G, 3, prof) == D
+            assert made == []
+            assert len(D.stars) == len(made) == N * 10 // 6  # built on first use
+            made.clear()
+
+    def test_arrays(self):
+        G, prof, D = self._setup()
+        assert D.centers.tolist() == [s.center for s in D.stars]
+        assert D.offsets.tolist() == list(range(0, len(G.edges) + 1, 2))
+        assert D.edge_ids.tolist() == [e for s in D.stars for e in s.edge_ids]
+        for a in (D.centers, D.edge_ids, D.offsets):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        ragged = StarDecomposition([Star(0, (1, 2, 3)), Star(1, ())])
+        assert ragged.offsets.tolist() == [0, 3, 3]
+        assert ragged.stars == (Star(0, (1, 2, 3)), Star(1, ()))
+        assert len({ragged, StarDecomposition(ragged.stars)}) == 1
 
 
 class TestConditionU:

@@ -21,13 +21,26 @@ from stardecomp.graph import (
     edges_within,
     enumerate_pairings,
     gen_configuration,
-    is_simple,
-    multigraph_to_simple,
     read_graph,
     reject_to_simple,
     sample_simple,
     write_graph,
 )
+
+def is_simple(G: MultiGraph) -> bool:
+    seen = set()
+    for u, v in G.edges:
+        if u == v or (u, v) in seen:
+            return False
+        seen.add((u, v))
+    return True
+
+
+def multigraph_to_simple(G: MultiGraph) -> SimpleGraph:
+    if not is_simple(G):
+        raise GraphError("multigraph has loops or parallel edges")
+    return SimpleGraph(N=G.N, d=G.d, edges=tuple(sorted(G.edges)))
+
 
 small_nd = st.tuples(st.integers(1, 6), st.integers(1, 4)).filter(
     lambda p: (p[0] * p[1]) % 2 == 0
