@@ -2,7 +2,7 @@
 
 Exit codes: 0 = success, 1 = domain infeasibility (a witness or a false
 verdict was found and printed), 2 = usage error.  Every subcommand is
-deterministic given its flags.  Only gen, pmr and trials draw random numbers;
+deterministic given its flags.  Only gen and trials draw random numbers;
 they take --seed, with STARDECOMP_SEED as the fallback when it is absent.
 """
 
@@ -83,9 +83,7 @@ def _cmd_gen(args) -> int:
     if args.output:
         gr.write_graph(args.output, G)
     else:
-        sys.stdout.write(f"{G.N} {G.d}\n")
-        for u, v in G.edges:
-            sys.stdout.write(f"{u + 1} {v + 1}\n")
+        sys.stdout.write(gr._graph_text(G))
     return 0
 
 
@@ -257,8 +255,6 @@ def _cmd_bounds_curve(args) -> int:
 def _cmd_pmr(args) -> int:
     if args.inside is None and args.r is None:
         raise SystemExit("pmr requires --inside or --r")
-    if args.trials < 0:
-        raise SystemExit("pmr requires --trials >= 0")
     if args.inside is not None:
         cell = numerics.SubgraphCount(args.n, args.d, args.m, args.inside)
     else:
@@ -269,14 +265,7 @@ def _cmd_pmr(args) -> int:
         "inside": cell.half_edge_pairs_inside,
         "log_P": logp, "P": math.exp(logp),
     }
-    lines = [f"P = {math.exp(logp):.9g}  (log P = {logp:.6f})"]
-    if args.trials:
-        est, err = experiments.empirical_P_Mr(
-            args.n, args.d, args.m, cell.half_edge_pairs_inside, args.trials, seed=args.seed
-        )
-        payload.update({"empirical": est, "stderr": err, "trials": args.trials})
-        lines.append(f"empirical = {est:.9g} +- {err:.2g} over {args.trials} trials")
-    _emit(args, payload, lines)
+    _emit(args, payload, [f"P = {math.exp(logp):.9g}  (log P = {logp:.6f})"])
     return 0
 
 
@@ -396,14 +385,12 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--x-minus", type=float, default=None)
         p.add_argument("--x-plus", type=float, default=None)
 
-    if p := add("pmr", _cmd_pmr, seeded=True,
-                help="exact (and optionally empirical) subset probability"):
+    if p := add("pmr", _cmd_pmr, help="exact subset probability"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--inside", type=int, default=None)
         p.add_argument("--r", type=float, default=None)
-        p.add_argument("--trials", type=int, default=0)
 
     if p := add("trials", _cmd_trials, seeded=True, help="Monte Carlo decomposition trials"):
         p.add_argument("--d", type=int, required=True)

@@ -221,7 +221,7 @@ def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation 
     quota.  Below the cutoff the fixed cost of each numpy call outweighs the
     loop's per-arc Python work; above it the loop's per-arc work dominates.
     """
-    m = len(G.edges)
+    m = len(G.ends)
     if profile.N != G.N:
         raise ProfileError("profile size does not match graph")
     total = profile.total_quota()
@@ -234,19 +234,19 @@ def orient_with_outdegrees(G: SimpleGraph, profile: StarProfile) -> Orientation 
 
 def _orient_by_paths(G: SimpleGraph, profile: StarProfile) -> Orientation | Witness:
     """Greedy start, then reversal of shortest paths, one phase at a time."""
-    N, edges = G.N, G.edges
-    m = len(edges)
+    N, ends = G.N, G.ends
+    m = len(ends)
     # Out-degree at most the quota everywhere is the goal: with total quota m
     # it forces equality.  Excess moves along reversed paths.
     k = profile.k
     quota = [j * k for j in profile.j_of]
-    other = [u ^ v for u, v in edges]  # other[e] ^ w is the endpoint of e that is not w
+    other = (ends[:, 0] ^ ends[:, 1]).tolist()  # other[e] ^ w is the endpoint of e that is not w
     tails = [0] * m
     out = [0] * N
     # Greedy start: the tail goes to the endpoint with the larger share of its
     # remaining quota per still-unoriented incident edge.
     left = [G.d] * N
-    for e, (u, v) in enumerate(edges):
+    for e, (u, v) in enumerate(zip(*ends.T.tolist())):
         t = u if (quota[u] - out[u]) * left[v] >= (quota[v] - out[v]) * left[u] else v
         tails[e] = t
         out[t] += 1
@@ -465,7 +465,7 @@ def verify_decomposition(
     """
     if k < 1:
         raise ProfileError("star size k must be >= 1")
-    m, centers, ids, offsets = len(G.edges), D.centers, D.edge_ids, D.offsets
+    m, centers, ids, offsets = len(G.ends), D.centers, D.edge_ids, D.offsets
     if ids.size == m and (offsets[1:] - offsets[:-1] == k).all() and (not m or ids.min() >= 0):
         cover = np.bincount(ids, minlength=m)  # longer than m if an id is too large
         if cover.size == m:
@@ -480,7 +480,7 @@ def verify_decomposition(
 
 def _first_violation(G: SimpleGraph, k: int, profile: StarProfile, D: StarDecomposition) -> str:
     """The message for the first violation of ``verify_decomposition``."""
-    m, centers, ids = len(G.edges), D.centers, D.edge_ids
+    m, centers, ids = len(G.ends), D.centers, D.edge_ids
     sizes = np.diff(D.offsets)
     center = np.repeat(centers, sizes)
     known = (ids >= 0) & (ids < m)
@@ -536,16 +536,14 @@ def brute_force_condition(G: SimpleGraph, profile: StarProfile):
         raise GraphError(f"N = {G.N} exceeds the brute-force cap {_BRUTE_CAP}")
     if profile.N != G.N:
         raise ProfileError("profile size does not match graph")
-    inc = G.incident_edges()
+    inc, ends = G.incident_edges(), G.ends.tolist()
 
     def rec(members: list[int], start: int, lhs: int, rhs: int):
         # lhs counts edges inside `members`; extend in lexicographic order.
         if lhs > rhs:
             return Witness(U=frozenset(members), lhs=lhs, rhs=rhs)
         for v in range(start, G.N):
-            inside = sum(
-                1 for eid in inc[v] if (G.edges[eid][0] in members or G.edges[eid][1] in members)
-            )
+            inside = sum(1 for eid in inc[v] if ends[eid][0] in members or ends[eid][1] in members)
             members.append(v)
             got = rec(members, v + 1, lhs + inside, rhs + profile.quota(v))
             members.pop()

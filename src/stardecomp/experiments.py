@@ -20,21 +20,13 @@ import numpy as np
 from . import conditions
 from .conditions import star_params, weak_certificate
 from .decompose import Witness, _star_counts, balanced_profile, decompose
-from .graph import (
-    SimpleGraph,
-    edges_within,
-    gen_configuration,
-    reject_to_simple,
-    sample_simple,
-)
-from .numerics import SubgraphCount, exact_P_Mr
+from .graph import SimpleGraph, reject_to_simple, sample_simple
 
 __all__ = [
     "TrialRecord",
     "ExperimentReport",
     "wilson_interval",
     "run_decomposition_trials",
-    "empirical_P_Mr",
     "curve_points",
 ]
 
@@ -171,24 +163,6 @@ def run_decomposition_trials(
         wilson95=wilson_interval(successes, trials),
         records=tuple(records) if keep_records else (),
     )
-
-
-def empirical_P_Mr(
-    N: int, d: int, M: int, inside: int, trials: int, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo frequency of e[U] = inside for U = {0..M-1} in the pairing model.
-
-    Returns (estimate, standard error).  Exchangeability makes the fixed
-    choice of U irrelevant.
-    """
-    SubgraphCount(N, d, M, inside)  # feasibility check
-    U = frozenset(range(M))
-    hits = 0
-    for trial in range(trials):
-        G = gen_configuration(N, d, [seed, trial])
-        hits += edges_within(G, U) == inside
-    p = hits / trials
-    return p, math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
 
 
 def curve_points(kind: str, params: dict) -> list[tuple[float, float]]:

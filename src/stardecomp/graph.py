@@ -3,9 +3,11 @@
 A ``MultiGraph`` is a perfect matching of N*d labeled half-edges; half-edge
 ``i`` belongs to vertex ``i // d``.  Loops and parallel edges are allowed;
 a loop is a single edge contributing 2 to its vertex's degree.  A
-``SimpleGraph`` is the loop/multi-edge-free case with an explicit edge list
-whose index order defines the edge ids used everywhere downstream; it also
-holds that list as a read-only (m, 2) int64 array, ``ends``, for array code.
+``SimpleGraph`` is the loop/multi-edge-free case, stored as N, d and one
+read-only (m, 2) int64 array ``ends`` whose row order defines the edge ids
+used everywhere downstream.  Every reader in the package works on ``ends``;
+the tuple of Python pairs, ``edges``, is built only when a caller reads it.
+Both graph types expose ``ends``, so ``edges_within`` counts on either.
 
 Randomness is reproducible: every sampler builds one numpy generator from
 its seed, so a seed always gives the same graph.  The samplers work on
@@ -15,8 +17,8 @@ arrays: ``reject_to_simple`` tests whole batches of pairings at once, and
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,11 @@ class MultiGraph:
             out.append((u, v) if u <= v else (v, u))
         return out
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """(m, 2) int64 array of the vertices of each half-edge pair, in pairing order."""
+        return np.array(self.pairing, dtype=np.int64).reshape(-1, 2) // self.d
+
     def degrees(self) -> list[int]:
         deg = [0] * self.N
         for u, v in self.edges:
@@ -105,66 +112,75 @@ def _repeats(key: np.ndarray) -> np.ndarray:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """The (m, 2) int64 array of a sequence of integer pairs."""
+    """A fresh (m, 2) int64 array of an integer array or a sequence of integer pairs.
+
+    Floats, strings and integers beyond int64 are refused, never cast.
+    """
     try:
-        if set(map(len, edges)) - {2} or not all(
-            issubclass(t, (int, np.integer)) for t in set(map(type, chain.from_iterable(edges)))
-        ):  # floats, strings: never cast
-            raise TypeError
-        return np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError) as exc:
+        ends = np.array(edges)
+    except ValueError as exc:  # ragged
         raise GraphError("edges must be pairs of 64-bit integers") from exc
+    if ends.shape == (0,):  # no edges: numpy gives a float array of shape (0,)
+        return np.empty((0, 2), dtype=np.int64)
+    if ends.ndim != 2 or ends.shape[1] != 2 or not np.can_cast(ends.dtype, np.int64):
+        raise GraphError("edges must be pairs of 64-bit integers")
+    return ends.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SimpleGraph:
-    """Simple d-regular graph; edge ids are list positions.
+    """Simple d-regular graph stored as N, d and its edge array ``ends``.
 
-    ``edges`` is the tuple of pairs (u, v), u < v, that callers build and
-    that ``write_graph`` writes.  ``ends`` holds the same edges as a
-    read-only (m, 2) int64 array, built and validated once at construction;
-    array code reads it instead of converting ``edges`` again.  ``_ends``
-    is for the samplers, which hand over that array ready-made (it must
-    equal ``edges``); it is validated in place of ``edges``.
+    ``ends`` is a read-only (m, 2) int64 array; row e is edge e = (u, v)
+    with u < v, and edge ids are these row positions.  ``edges`` may be a
+    sequence of integer pairs or an (m, 2) integer array; either is copied
+    and checked by the same validation.  The ``edges`` attribute, a tuple of
+    (u, v) pairs of Python ints, is built from ``ends`` on first read.  Two
+    graphs are equal when N, d and ``ends`` are.
     """
 
     N: int
     d: int
-    edges: tuple[tuple[int, int], ...]  # (u, v) with u < v
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    _ends: InitVar[np.ndarray | None] = None
+    ends: np.ndarray = field(repr=False)
 
-    def __post_init__(self, _ends):
-        ends = _edge_array(self.edges) if _ends is None else _ends
+    def __init__(self, N: int, d: int, edges):
+        ends = _edge_array(edges)
         u, v = ends[:, 0], ends[:, 1]
-        bad = (u < 0) | (u >= v) | (v >= self.N)
-        bad |= _repeats(u * self.N + v)
+        bad = (u < 0) | (u >= v) | (v >= N)
+        bad |= _repeats(u * N + v)
         if bad.any():
             u, v = ends[int(bad.argmax())].tolist()
-            if not (0 <= u < v < self.N):
+            if not (0 <= u < v < N):
                 raise GraphError(f"bad edge ({u}, {v}): need 0 <= u < v < N")
             raise GraphError(f"parallel edge ({u}, {v})")
-        deg = np.bincount(ends.ravel(), minlength=max(self.N, 0))
-        wrong = np.flatnonzero(deg != self.d)
+        deg = np.bincount(ends.ravel(), minlength=max(N, 0))
+        wrong = np.flatnonzero(deg != d)
         if wrong.size:
             v = int(wrong[0])
-            raise GraphError(f"vertex {v} has degree {deg[v]}, expected {self.d}")
+            raise GraphError(f"vertex {v} has degree {deg[v]}, expected {d}")
         ends.setflags(write=False)
-        object.__setattr__(self, "ends", ends)
+        for name, value in (("N", N), ("d", d), ("ends", ends)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.ends.T.tolist()))
+
+    def _key(self) -> tuple:
+        return self.N, self.d, self.ends.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, SimpleGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def incident_edges(self) -> list[list[int]]:
-        inc = [[] for _ in range(self.N)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return inc
-
-
-def _check_vertex_set(N: int, U) -> frozenset:
-    U = frozenset(U)
-    if U and (min(U) < 0 or max(U) >= N):
-        raise GraphError("vertex id out of range")
-    return U
+        """inc[v] lists the ids of the d edges at v in ascending order."""
+        order = np.argsort(self.ends.ravel(), kind="stable") >> 1
+        return order.reshape(self.N, self.d).tolist()
 
 
 def _draw_pairs(N: int, d: int, rng: np.random.Generator, tries: int = 1) -> np.ndarray:
@@ -203,8 +219,7 @@ def _check_simple_params(N: int, d: int) -> None:
 
 def _from_keys(N: int, d: int, key: np.ndarray) -> SimpleGraph:
     """The graph whose edges (u, v), u < v, are the sorted keys u*N + v."""
-    u, v = np.divmod(key, N)
-    return SimpleGraph(N, d, tuple(zip(u.tolist(), v.tolist())), np.stack((u, v), axis=1))
+    return SimpleGraph(N, d, np.stack(np.divmod(key, N), axis=1))
 
 
 _BATCH_ELEMENTS = 1 << 12  # half-edges per batch of tries: 32 kB per array
@@ -278,8 +293,12 @@ def sample_simple(N: int, d: int, seed: int, max_restarts: int = 1_000) -> Simpl
 
 def edges_within(G: MultiGraph | SimpleGraph, U) -> int:
     """Number of edges with both endpoints in U (a loop at u in U counts once)."""
-    U = _check_vertex_set(G.N, U)
-    return sum(1 for u, v in G.edges if u in U and v in U)
+    U = list(U)
+    if U and (min(U) < 0 or max(U) >= G.N):
+        raise GraphError("vertex id out of range")
+    inside = np.zeros(G.N, dtype=bool)
+    inside[U] = True
+    return int(np.count_nonzero(inside[G.ends[:, 0]] & inside[G.ends[:, 1]]))
 
 
 _ENUM_CAP = 12
@@ -312,13 +331,16 @@ def enumerate_pairings(N: int, d: int):
     yield from rec(list(range(n)), [])
 
 
+def _graph_text(G: SimpleGraph) -> str:
+    """``G`` in the text format of ``write_graph``, which ``gen`` also prints."""
+    rows = G.ends[np.lexsort((G.ends[:, 1], G.ends[:, 0]))] + 1
+    return f"{G.N} {G.d}\n" + "".join(f"{u} {v}\n" for u, v in rows.tolist())
+
+
 def write_graph(path: str | Path, G: SimpleGraph) -> None:
     """Text format: header "N d", then one "u v" line per edge, 1-based,
     u < v, sorted lexicographically.  '#' starts a comment."""
-    lines = [f"{G.N} {G.d}"]
-    for u, v in sorted(G.edges):
-        lines.append(f"{u + 1} {v + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(_graph_text(G))
 
 
 def read_graph(path: str | Path) -> SimpleGraph:

@@ -41,12 +41,12 @@ class TestRouting:
             code, _, err = run(capsys, ["trials", "--d", "4", "--k", "2", "--n", "10",
                                         "--trials", "0", "--format", fmt])
             assert code == 2 and "--trials >= 1" in err
-        code, out, err = run(capsys, ["pmr", "--n", "4", "--d", "3", "--m", "2",
-                                      "--inside", "1", "--trials", "-3"])
-        assert code == 2 and out == "" and "--trials >= 0" in err
-        # only gen, pmr and trials take --seed; only ksc, weak-cert and
-        # bounds-curve write csv; gen writes its graph format only
+        # only gen and trials take --seed; pmr is exact and takes no
+        # --trials; only ksc, weak-cert and bounds-curve write csv; gen
+        # writes its graph format only
+        pmr = ["pmr", "--n", "4", "--d", "3", "--m", "2", "--inside", "1"]
         for argv in (["strong", "--d", "20", "--k", "6", "--seed", "1"],
+                     pmr + ["--seed", "1"], pmr + ["--trials", "5"],
                      ["strong", "--d", "20", "--k", "6", "--format", "csv"],
                      ["gen", "--n", "6", "--d", "3", "--format", "json"]):
             code, _, _ = run(capsys, argv)
@@ -107,6 +107,14 @@ class TestGenDecomposeVerify:
         dispatch(["gen", "--n", "12", "--d", "3", "--seed", "9", "-o", a])
         dispatch(["gen", "--n", "12", "--d", "3", "--seed", "9", "-o", b])
         assert read_graph(a).edges == read_graph(b).edges
+
+    def test_gen_stdout_is_the_file_format(self, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        for sampler, d, seed in (("reject", 3, 1), ("restart", 10, 2)):
+            argv = ["gen", "--n", "12", "--d", str(d), "--seed", str(seed), "--sampler", sampler]
+            code, out, _ = run(capsys, argv)
+            assert code == 0 and dispatch(argv + ["-o", str(g)]) == 0
+            assert out.encode() == g.read_bytes()
 
     def test_gen_nonpositive_degree_exit_1(self, tmp_path, capsys):
         g = tmp_path / "g.txt"

@@ -488,6 +488,13 @@ class TestVerification:
             assert made == []
             assert len(D.stars) == len(made) == N * 10 // 6  # built on first use
             made.clear()
+            # No quota at either end of edge 0 makes a witness; neither
+            # routine, nor the recount, builds the graph's edge tuple.
+            u, v = G.ends[0].tolist()
+            j_of = [0 if w in (u, v) else j for w, j in enumerate(prof.j_of)]
+            j_of[next(w for w in range(N) if w not in (u, v))] += prof.j_of[u] + prof.j_of[v]
+            assert isinstance(decompose(G, 3, StarProfile(3, tuple(j_of))), Witness)
+            assert "edges" not in G.__dict__
 
     def test_arrays(self):
         G, prof, D = self._setup()

@@ -1,17 +1,11 @@
 """Monte Carlo harness: reproducibility, statistics, reports, curves."""
 
 import json
-import math
 
 import pytest
 
-from stardecomp.experiments import (
-    curve_points,
-    empirical_P_Mr,
-    run_decomposition_trials,
-    wilson_interval,
-)
-from stardecomp.numerics import InfeasibleError, SubgraphCount, exact_P_Mr
+from stardecomp import experiments
+from stardecomp.experiments import curve_points, run_decomposition_trials, wilson_interval
 
 
 class TestWilson:
@@ -59,6 +53,19 @@ class TestTrials:
         for rec in rep.records:
             assert rec.success == (rec.witness is None)
 
+    def test_no_edge_tuple_built(self, monkeypatch):
+        # Sampling, orientation, witnesses and verification all read ``ends``.
+        sample, sampled = experiments._sample_graph, []
+        monkeypatch.setattr(
+            experiments, "_sample_graph", lambda *a: sampled.append(sample(*a)) or sampled[-1]
+        )
+        failed = 0
+        for d, k, N in ((3, 2, 8), (10, 3, 60)):  # rejection sampler, stub matching
+            rep = run_decomposition_trials(d=d, k=k, N=N, trials=10, seed=3)
+            failed += rep.trials - rep.successes
+        assert failed and len(sampled) == 20
+        assert not any("edges" in G.__dict__ for G in sampled)
+
     def test_divisibility_rejected(self):
         with pytest.raises(ValueError):
             run_decomposition_trials(d=3, k=2, N=7, trials=1)
@@ -72,24 +79,6 @@ class TestTrials:
         assert set(data) >= {"config", "trials", "successes", "wilson95", "records"}
         assert len(data["records"]) == 5
         assert data["wilson95"][0] <= data["rate"] <= data["wilson95"][1]
-
-
-class TestEmpiricalProbability:
-    def test_matches_exact(self):
-        cell = SubgraphCount(4, 3, 2, 1)
-        exact = math.exp(exact_P_Mr(cell))
-        est, err = empirical_P_Mr(4, 3, 2, 1, trials=4000, seed=11)
-        assert abs(est - exact) < 4 * err + 0.01
-
-    def test_reproducible(self):
-        assert empirical_P_Mr(4, 3, 2, 1, 100, seed=3) == empirical_P_Mr(
-            4, 3, 2, 1, 100, seed=3
-        )
-
-    def test_infeasible_cells_rejected(self):
-        for inside in (-1, 99):
-            with pytest.raises(InfeasibleError):
-                empirical_P_Mr(6, 3, 3, inside, 50)
 
 
 class TestCurves:

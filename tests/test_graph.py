@@ -137,10 +137,14 @@ class TestSimpleGraphs:
 
     def test_validation_rejects_non_integers(self):
         for edges in (((0, 1.0), (1, 2), (0, 2)), ((0, 1.5), (1, 2), (0, 2)),
-                      (("0", "1"), (1, 2), (0, 2)), ((0, 1, 2),)):
+                      (("0", "1"), (1, 2), (0, 2)), ((0, 1, 2),), ((0,), (1,), (2,)),
+                      ((0, 2**64), (1, 2), (0, 2)), ((2**63, 2**63 + 1),),
+                      ((0, 1), (1, 2, 0), (0, 2)), np.zeros((3, 2))):
             with pytest.raises(GraphError, match="pairs of 64-bit integers"):
                 SimpleGraph(N=3, d=2, edges=edges)
-        assert SimpleGraph(N=3, d=2, edges=((0, 1), (np.int64(1), 2), (0, 2))).N == 3
+        triangle = SimpleGraph(N=3, d=2, edges=((0, 1), (np.int64(1), 2), (0, 2)))
+        assert SimpleGraph(3, 2, np.array([[0, 1], [1, 2], [0, 2]], np.int32)) == triangle
+        assert SimpleGraph(N=1, d=0, edges=()).ends.shape == (0, 2)  # read_graph of "1 0"
 
     def test_incident_edges(self):
         G = cycle_graph(4)
@@ -300,6 +304,14 @@ class TestEdgeCounts:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             edges_within(cycle_graph(4), {7})
+
+    @given(st.integers(0, 10_000), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_a_plain_recount(self, seed, data):
+        # gen_configuration's pairings often hold loops and parallel edges.
+        for G in (sample_simple(12, 4, seed), gen_configuration(7, 4, seed)):
+            U = data.draw(st.sets(st.integers(0, G.N - 1)))
+            assert edges_within(G, U) == sum(1 for u, v in G.edges if u in U and v in U)
 
 
 class TestEnumeration:

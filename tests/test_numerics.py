@@ -262,6 +262,9 @@ class TestExactProbability:
             SubgraphCount(4, 3, 1, 2)  # more inside pairs than half-edges
         with pytest.raises(InfeasibleError):
             SubgraphCount(4, 3, 4, 1)  # crossing half-edges have no partners
+        for inside in (-1, 99):  # a negative count, and more than the M-set holds
+            with pytest.raises(InfeasibleError):
+                SubgraphCount(6, 3, 3, inside)
 
     def test_Z_upper_dominates(self):
         for N, d in [(4, 3), (2, 4), (3, 4), (6, 2), (4, 2)]:

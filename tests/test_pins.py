@@ -80,7 +80,8 @@ def test_witness_sets(N, U_sha):
 @pytest.mark.parametrize("G", [reject_to_simple(30, 4, 0), sample_simple(60, 10, 0)])
 def test_sampled_and_tuple_built_ends_agree(G):
     H = SimpleGraph(G.N, G.d, G.edges)
-    assert H == G
+    assert H == G == SimpleGraph(G.N, G.d, G.ends)
+    assert hash(H) == hash(G) and len({G, H}) == 1
     for ends in (G.ends, H.ends):
         assert ends.dtype == np.int64 and ends.shape == (len(G.edges), 2)
         assert not ends.flags.writeable
